@@ -227,7 +227,7 @@ def run_sweep(protocol: ProtocolFn, instance_fn: InstanceFn,
     batch:
         ``True`` (default) runs each grid point as one batch — instances
         built once per batch, coins from one batched construction.
-        ``False`` is the historical per-trial path, kept as the
+        ``False`` runs every trial as a batch of one, kept as the
         differential reference.  Records are identical either way.
     shared_instances:
         ``True`` runs all of a grid point's trials against *one*
@@ -244,8 +244,9 @@ def run_sweep(protocol: ProtocolFn, instance_fn: InstanceFn,
         the journal already holds (byte-identical records to an
         uninterrupted run); a
         :class:`~repro.runtime.faults.FaultPlan` for deterministic
-        fault injection.  Any of them engages the supervised engine;
-        all default off, leaving historical behaviour untouched.
+        fault injection.  Any of them gives the execution engine a
+        retry policy (error capture, watchdog, retry, journaling); with
+        none, a trial exception propagates with its original type.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
@@ -271,19 +272,21 @@ def run_sweep(protocol: ProtocolFn, instance_fn: InstanceFn,
                 retry=retry, journal=journal, resume=resume,
                 fault_plan=fault_plan, profile=profile,
             )
-        if cache is not None:
+        # ``cache.stats()`` sizes every cached instance: compute it only
+        # for a reader, and at most once.
+        active = obs_metrics.get_metrics()
+        if cache is not None and (
+                active is not None or _LOGGER.isEnabledFor(logging.DEBUG)):
+            stats = cache.stats()
             _LOGGER.debug(
                 "run_sweep cache stats (instance_key=%r): %s",
-                instance_key, cache.stats(),
+                instance_key, stats,
             )
-            active = obs_metrics.get_metrics()
             if active is not None:
-                stats = cache.stats()
                 active.gauge("cache.entries", stats["entries"])
                 active.gauge("cache.instance_bytes", stats["instance_bytes"])
         # Stamp the merged registry into the trace so `summarize` can
         # report cache effectiveness and backend mix from one file.
-        active = obs_metrics.get_metrics()
         if active is not None:
             obs_trace.event("metrics", snapshot=active.snapshot())
     failed = sum(1 for r in records if not r.ok)

@@ -29,6 +29,7 @@ the trade-off the Ω(n^{1/4}) bound constrains.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.comm.encoding import edge_bits
 from repro.comm.oneway import OneWayRun, run_extended_oneway
@@ -37,13 +38,7 @@ from repro.comm.randomness import SharedRandomness
 from repro.graphs.graph import Edge, iter_bits
 from repro.graphs.triangles import triangle_edges
 from repro.lowerbounds.distributions import MuDistribution, MuSample
-from repro.runtime import (
-    Executor,
-    InstanceCache,
-    TrialResult,
-    TrialSpec,
-    default_executor,
-)
+from repro.runtime import Executor, InstanceCache, TrialSpec, run_trials
 
 __all__ = [
     "oneway_triangle_edge_protocol",
@@ -137,6 +132,39 @@ class OneWayCurvePoint:
     """Fraction of far inputs where the output is a genuine triangle edge."""
 
 
+class _CurveOutcome(NamedTuple):
+    total_bits: float
+    found: bool
+
+
+@dataclass(frozen=True)
+class _FarSampleBuilder:
+    """Picklable ``(n, d, seed) -> (far µ sample, its triangle edges)``."""
+
+    mu: MuDistribution
+
+    def __call__(self, n: int, d: float, seed: int):
+        sample = self.mu.sample_far(seed=seed, min_packing=1)
+        return sample, triangle_edges(sample.graph)
+
+
+@dataclass(frozen=True)
+class _BudgetProtocol:
+    """Picklable protocol run at one Alice budget, verified against the
+    sample's ground-truth triangle edges."""
+
+    alice_budget: int
+
+    def __call__(self, instance, seed: int) -> _CurveOutcome:
+        sample, truth = instance
+        run = oneway_triangle_edge_protocol(
+            sample, self.alice_budget, seed=seed
+        )
+        return _CurveOutcome(
+            run.total_bits, run.output is not None and run.output in truth
+        )
+
+
 def budget_success_curve(mu: MuDistribution, budgets: list[int],
                          trials: int = 8, seed: int = 0, *,
                          workers: int | None = None,
@@ -150,52 +178,34 @@ def budget_success_curve(mu: MuDistribution, budgets: list[int],
 
     Trials are executed through the experiment runtime: serial by
     default, or fanned out over a process pool with ``workers=`` /
-    ``executor=`` (the PR 1 seam).  Every trial's randomness is fully
-    determined by ``seed`` and its trial index, so serial and parallel
-    sweeps return byte-identical curves.
+    ``executor=``.  Trial ``t`` draws its far sample from seed
+    ``seed + 1009·t`` and its protocol coins from ``seed + t``; the
+    samples are cached across budgets, so every budget is measured on
+    the same inputs.  Serial and parallel sweeps return identical curves.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     cache = InstanceCache(max_entries=max(8, trials))
-
-    def build_sample_with_truth(trial: int):
-        sample = mu.sample_far(seed=seed + 1009 * trial, min_packing=1)
-        return sample, triangle_edges(sample.graph)
-
-    def far_sample_with_truth(trial: int):
-        return cache.get_or_build(
-            ("mu-far", trial), lambda: build_sample_with_truth(trial)
-        )
-
-    def run_one(spec: TrialSpec) -> TrialResult:
-        sample, truth = far_sample_with_truth(spec.trial_index)
-        run = oneway_triangle_edge_protocol(
-            sample, budgets[spec.point_index], seed=spec.seed
-        )
-        success = run.output is not None and run.output in truth
-        return TrialResult.from_outcome(
-            spec, bits=run.total_bits, found=success
-        )
-
-    specs = [
-        TrialSpec(
-            point_index=point, trial_index=trial, n=mu.n,
-            d=float(budget), k=3, seed=seed + trial,
-        )
-        for point, budget in enumerate(budgets)
-        for trial in range(trials)
-    ]
-    chosen = executor if executor is not None else default_executor(workers)
-    results = chosen.run_trials(run_one, specs)
-
+    builder = _FarSampleBuilder(mu)
     points: list[OneWayCurvePoint] = []
     for point, budget in enumerate(budgets):
-        rows = [r for r in results if r.point_index == point]
+        specs = [
+            TrialSpec(
+                point_index=point, trial_index=trial, n=mu.n, d=0.0, k=3,
+                seed=seed + trial, instance_seed=seed + 1009 * trial,
+            )
+            for trial in range(trials)
+        ]
+        results = run_trials(
+            _BudgetProtocol(budget), builder, specs,
+            workers=workers, executor=executor,
+            cache=cache, instance_key="mu-far",
+        )
         points.append(
             OneWayCurvePoint(
                 alice_budget=budget,
-                mean_bits=sum(r.bits for r in rows) / trials,
-                success_rate=sum(1 for r in rows if r.found) / trials,
+                mean_bits=sum(r.bits for r in results) / trials,
+                success_rate=sum(1 for r in results if r.found) / trials,
             )
         )
     return points

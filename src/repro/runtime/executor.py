@@ -1,13 +1,22 @@
-"""Trial executors: serial and process-pool-parallel with identical output.
+"""Trial execution: one engine, serial or process-pool-parallel.
 
 The contract every executor honours: given the same :class:`TrialTask`
-and the same spec list, ``run_trials`` returns the same
-:class:`~repro.runtime.spec.TrialResult` list in the same (spec) order.
-Parallelism changes wall-clock only, never records — each trial's
-randomness is fully determined by its spec's derived seed, so there is
-no shared RNG state to race on.
+and the same :class:`~repro.runtime.spec.TrialBatch` list,
+:meth:`Executor.execute` returns the same
+:class:`~repro.runtime.spec.TrialResult` list in the same (batch)
+order.  Parallelism changes wall-clock only, never records — each
+trial's randomness is fully determined by its spec's derived seed, so
+there is no shared RNG state to race on.
 
-``ParallelExecutor`` distributes work over a ``ProcessPoolExecutor``
+The unit of work is always a ``TrialBatch``.  ``run_trials(...,
+batch=True)`` groups the specs by grid point, so each distinct instance
+is built (or cache-fetched) once per batch and the coin streams come
+from one batched construction; ``batch=False`` makes every spec a batch
+of one.  Parallel sharding is by whole batch, so instance reuse never
+crosses a process boundary and the records are byte-identical either
+way.
+
+``ParallelExecutor`` distributes batches over a ``ProcessPoolExecutor``
 and supports every start method:
 
 * **fork** (the fast path where available): protocol and instance
@@ -15,47 +24,37 @@ and supports every start method:
   inline), which do not pickle; instead of pickling them per call, the
   active task is parked in a module global immediately before the pool
   forks, so workers inherit it through copy-on-write and only the small
-  ``TrialSpec`` / ``TrialResult`` dataclasses ever cross the pipe.
+  ``TrialBatch`` / ``TrialResult`` dataclasses ever cross the pipe.
 * **spawn / forkserver** (Windows, macOS, and Python 3.14's default):
   the task is pickled *once* and shipped to each worker through the
   pool initializer, which parks it in the same module global — the
-  per-trial traffic is identical to the fork path.  Tasks that do not
+  per-batch traffic is identical to the fork path.  Tasks that do not
   pickle (closure-built) fall back to serial execution transparently;
   module-level callables (and the picklable callables in
   :mod:`repro.analysis.experiments`) parallelise everywhere.
 
-Either way the records are byte-identical to serial execution: each
-trial's randomness is fully determined by its spec's derived seed.
-
-The **batched** path (``run_trials(..., batch=True)``) regroups specs
-into per-grid-point :class:`~repro.runtime.spec.TrialBatch` units and
-runs each through :meth:`TrialTask.run_batch`, which builds (or
-cache-fetches) each distinct instance once per batch and reuses it
-across the repetition axis.  Parallel sharding is by whole batch, so
-instance reuse never crosses a process boundary and the records stay
-byte-identical to per-trial execution in either engine.
-
-The **supervised** path (engaged whenever ``run_trials`` is given a
-``retry=``, ``journal=``, ``resume=``, or ``fault_plan=``) adds the
+The engine's one policy is a :class:`RetryPolicy` or ``None``.
+``run_trials`` passes ``None`` unless it is given a ``retry=``,
+``journal=``, ``resume=`` or ``fault_plan=``, and without a policy a
+trial exception propagates with its original type.  A policy adds the
 fault-tolerance layer:
 
-* per-trial / per-batch **error capture** — a trial that raises becomes
-  a ``status="error"`` :class:`TrialResult` instead of killing the
-  sweep;
-* a **wall-clock watchdog** (``RetryPolicy.timeout``) per unit of work
-  — a hung trial times out instead of stalling the sweep forever (in
+* per-trial **error capture** — a trial that raises becomes a
+  ``status="error"`` :class:`TrialResult` instead of killing the sweep;
+* a **wall-clock watchdog** (``RetryPolicy.timeout``) per batch — a
+  hung trial times out instead of stalling the sweep forever (in
   parallel mode the hung worker's pool is killed and rebuilt, because a
   running pool worker cannot be cancelled);
-* **bounded deterministic retry-with-backoff** — failed units are
+* **bounded deterministic retry-with-backoff** — failed batches are
   re-run up to ``RetryPolicy.max_attempts`` times with a fixed
   (jitter-free) backoff schedule; because trials are pure functions of
   their specs, retries can change wall-clock but never records;
 * **pool rebuild** on ``BrokenProcessPool`` (a worker died), with
   graceful **degradation to serial** execution once
   ``RetryPolicy.max_pool_rebuilds`` is exhausted;
-* incremental **journaling**: each completed unit's ok-results are
+* incremental **journaling**: each completed batch's ok-results are
   durably appended to the :class:`~repro.runtime.journal.RunJournal`
-  the moment they exist, so a crash loses at most the in-flight unit.
+  the moment they exist, so a crash loses at most the in-flight batch.
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ import abc
 import contextlib
 import inspect
 import logging
-import math
 import multiprocessing
 import os
 import pickle
@@ -111,10 +109,10 @@ class TrialTimeout(RuntimeError):
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How the supervised executors respond to failure.
+    """How the supervised engine responds to failure.
 
-    ``max_attempts`` bounds runs per unit of work (a trial, or a whole
-    batch in batched mode); ``backoff_base * backoff_factor**i`` seconds
+    ``max_attempts`` bounds runs per unit of work (a batch: one grid
+    point, or one trial with ``batch=False``); ``backoff_base * backoff_factor**i`` seconds
     separate attempt ``i`` from attempt ``i+1`` — a fixed, jitter-free
     schedule, so failure handling is as deterministic as the trials
     themselves.  ``timeout`` (seconds per attempt, ``None`` = no
@@ -178,9 +176,9 @@ class TrialTask:
         Optional ``(spec, instance, outcome) -> dict`` hook whose result
         lands in ``TrialResult.extras`` (picklable primitives only).
     fault_plan:
-        Optional :class:`~repro.runtime.faults.FaultPlan` consulted on
-        the *supervised* execution paths only — the deterministic
-        fault-injection seam the recovery machinery is tested through.
+        Optional :class:`~repro.runtime.faults.FaultPlan` consulted by
+        the supervised entries only — the deterministic fault-injection
+        seam the recovery machinery is tested through.
     profile:
         When true, a per-trial phase cost profile (``build`` /
         ``stream`` / ``protocol`` / ``referee`` seconds) is attached to
@@ -234,42 +232,37 @@ class TrialTask:
     def _run_one(self, spec: TrialSpec,
                  stream: SharedRandomness | None,
                  local: dict[tuple, object],
-                 stream_cost: float = 0.0) -> TrialResult:
-        """One trial against a batch-local instance map — the shared core
-        of the plain and supervised batch paths."""
-        if not self.profile:
-            return self._execute(spec, stream, local, None, stream_cost)
-        with obs_profile.profile_scope() as profile:
-            return self._execute(spec, stream, local, profile, stream_cost)
-
-    def _execute(self, spec: TrialSpec,
-                 stream: SharedRandomness | None,
-                 local: dict[tuple, object],
-                 profile: dict | None,
                  stream_cost: float) -> TrialResult:
-        with obs_trace.span("trial", point=spec.point_index,
-                            trial=spec.trial_index, n=spec.n), \
-                obs_metrics.timer("trial.seconds"):
-            if stream_cost:
-                # This trial's even share of the batch's one stream
-                # construction (per-trial runs build streams inside the
-                # protocol, where the cost lands in the protocol phase).
-                obs_profile.charge("stream", stream_cost)
-            key = self.cache_key(spec)
-            try:
-                instance = local[key]
-            except KeyError:
-                with obs_trace.span("build"), obs_profile.phase("build"):
-                    instance = local[key] = self.build_instance(spec)
-            with obs_trace.span("protocol"), obs_profile.phase("protocol"):
-                if stream is not None:
-                    outcome = self.protocol(instance, spec.seed, shared=stream)
-                else:
-                    outcome = self.protocol(instance, spec.seed)
-        extras = (
-            self.metrics(spec, instance, outcome)
-            if self.metrics is not None else None
+        """One trial against a batch-local instance map."""
+        scope = (
+            obs_profile.profile_scope() if self.profile
+            else contextlib.nullcontext()
         )
+        with scope as profile:
+            with obs_trace.span("trial", point=spec.point_index,
+                                trial=spec.trial_index, n=spec.n), \
+                    obs_metrics.timer("trial.seconds"):
+                if stream_cost:
+                    # This trial's even share of the batch's one stream
+                    # construction.
+                    obs_profile.charge("stream", stream_cost)
+                key = self.cache_key(spec)
+                try:
+                    instance = local[key]
+                except KeyError:
+                    with obs_trace.span("build"), obs_profile.phase("build"):
+                        instance = local[key] = self.build_instance(spec)
+                with obs_trace.span("protocol"), \
+                        obs_profile.phase("protocol"):
+                    if stream is not None:
+                        outcome = self.protocol(instance, spec.seed,
+                                                shared=stream)
+                    else:
+                        outcome = self.protocol(instance, spec.seed)
+            extras = (
+                self.metrics(spec, instance, outcome)
+                if self.metrics is not None else None
+            )
         if profile is not None:
             extras = dict(extras) if extras else {}
             extras["profile"] = {
@@ -290,86 +283,81 @@ class TrialTask:
         return [None] * len(batch.specs)
 
     def __call__(self, spec: TrialSpec) -> TrialResult:
-        # A one-entry local map makes this exactly the batched core with
-        # nothing to coalesce, so both paths share the instrumentation.
-        return self._run_one(spec, None, {})
-
-    def run_batch(self, batch: TrialBatch) -> list[TrialResult]:
-        """Run one grid point's trials against batch-local instances.
-
-        Each distinct instance key is built (or cache-fetched) exactly
-        once for the whole batch; with per-trial instance seeds the
-        local map never coalesces anything and the path degenerates to
-        the per-trial one.  Protocols that declare a ``shared`` keyword
-        receive their coin stream from one batched
-        :meth:`~repro.comm.randomness.SharedRandomness.batch`
-        construction — draw-for-draw identical to the stream they would
-        build internally from the spec seed, so outcomes are unchanged.
-        """
-        with obs_trace.span("batch", point=batch.point_index,
-                            trials=len(batch.specs)):
-            with obs_trace.span("streams"), \
-                    obs_metrics.timer("batch.stream_seconds"):
-                started = time.perf_counter()
-                streams = self._batch_streams(batch)
-                stream_cost = (
-                    (time.perf_counter() - started) / max(1, len(batch.specs))
-                    if self.profile else 0.0
-                )
-            local: dict[tuple, object] = {}
-            return [
-                self._run_one(spec, stream, local, stream_cost)
-                for spec, stream in zip(batch.specs, streams)
-            ]
-
-    # -- supervised entries -------------------------------------------
-    # Same computations as __call__/run_batch, but failures become
-    # structured records instead of escaping, and the fault plan gets
-    # its shot first.  Successful trials produce byte-identical results
-    # on either path.
+        return self.run_batch(_single(spec))[0]
 
     def run_supervised(self, spec: TrialSpec, *,
                        attempt: int = 0) -> TrialResult:
         """One trial with fault injection and error capture."""
-        try:
-            if self.fault_plan is not None:
-                self.fault_plan.apply(spec, attempt)
-            return self(spec)
-        except Exception as error:
-            return TrialResult.from_error(spec, error)
+        return self.run_batch_supervised(_single(spec), attempt=attempt)[0]
+
+    def run_batch(self, batch: TrialBatch) -> list[TrialResult]:
+        """Run one batch's trials against batch-local instances.
+
+        Each distinct instance key is built (or cache-fetched) exactly
+        once for the whole batch; with per-trial instance seeds the
+        local map never coalesces anything.  Protocols that declare a
+        ``shared`` keyword receive their coin stream from one batched
+        :meth:`~repro.comm.randomness.SharedRandomness.batch`
+        construction — draw-for-draw identical to the stream they would
+        build internally from the spec seed, so outcomes are unchanged.
+        Exceptions escape with their original type.
+        """
+        return self._run_batch(batch, None)
 
     def run_batch_supervised(self, batch: TrialBatch, *,
                              attempt: int = 0) -> list[TrialResult]:
-        """One batch with per-trial fault injection and error capture.
+        """:meth:`run_batch` with per-trial fault injection and error
+        capture.
 
-        A failure inside one trial (fault, instance build, protocol)
-        yields an error record for that trial only; the batch's other
-        trials still run.  A failure building the batch coin streams
-        fails the whole batch, since no trial can run without coins.
+        A failure inside one trial (fault, instance build, protocol,
+        metrics hook) yields an error record for that trial only; the
+        batch's other trials still run.  A failure building the batch
+        coin streams fails the whole batch, since no trial can run
+        without coins.  Successful trials produce records identical to
+        :meth:`run_batch`.
         """
+        return self._run_batch(batch, attempt)
+
+    def _run_batch(self, batch: TrialBatch,
+                   attempt: int | None) -> list[TrialResult]:
+        """The loop behind both batch entries; ``attempt=None`` is the
+        unsupervised one."""
+        attrs = {} if attempt is None else {"attempt": attempt}
         with obs_trace.span("batch", point=batch.point_index,
-                            trials=len(batch.specs), attempt=attempt):
+                            trials=len(batch.specs), **attrs):
             try:
-                started = time.perf_counter()
-                streams = self._batch_streams(batch)
-                stream_cost = (
-                    (time.perf_counter() - started) / max(1, len(batch.specs))
-                    if self.profile else 0.0
-                )
+                with obs_trace.span("streams"), \
+                        obs_metrics.timer("batch.stream_seconds"):
+                    started = time.perf_counter()
+                    streams = self._batch_streams(batch)
+                    stream_cost = (
+                        (time.perf_counter() - started)
+                        / max(1, len(batch.specs))
+                        if self.profile else 0.0
+                    )
             except Exception as error:
+                if attempt is None:
+                    raise
                 return [TrialResult.from_error(s, error) for s in batch.specs]
             local: dict[tuple, object] = {}
             results: list[TrialResult] = []
             for spec, stream in zip(batch.specs, streams):
                 try:
-                    if self.fault_plan is not None:
+                    if attempt is not None and self.fault_plan is not None:
                         self.fault_plan.apply(spec, attempt)
                     results.append(
                         self._run_one(spec, stream, local, stream_cost)
                     )
                 except Exception as error:
+                    if attempt is None:
+                        raise
                     results.append(TrialResult.from_error(spec, error))
             return results
+
+
+def _single(spec: TrialSpec) -> TrialBatch:
+    """A batch of one — the unit ``batch=False`` runs each spec as."""
+    return TrialBatch(point_index=spec.point_index, specs=(spec,))
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -393,108 +381,55 @@ def resolve_workers(workers: int | None = None) -> int:
 
 
 class Executor(abc.ABC):
-    """Runs trials; subclasses choose how, never what."""
+    """Runs batches of trials; subclasses choose how, never what."""
 
     @abc.abstractmethod
-    def run_trials(self, task: Callable[[TrialSpec], TrialResult],
-                   specs: Iterable[TrialSpec]) -> list[TrialResult]:
-        """Execute every spec, returning results in spec order."""
+    def execute(self, task: TrialTask, batches: Iterable[TrialBatch], *,
+                retry: RetryPolicy | None = None,
+                journal: RunJournal | None = None) -> list[TrialResult]:
+        """Run every batch, returning the results in batch order.
 
-    def run_batches(self, task: TrialTask,
-                    batches: Iterable[TrialBatch]) -> list[TrialResult]:
-        """Execute per-point batches, returning results in batch order.
-
-        The default runs batches in-process one after another;
-        :class:`ParallelExecutor` overrides it to shard whole batches
-        across workers.
+        ``retry=None`` runs :meth:`TrialTask.run_batch` and lets a trial
+        exception propagate.  A :class:`RetryPolicy` runs
+        :meth:`TrialTask.run_batch_supervised` under a wall-clock
+        watchdog with bounded retry, and appends each resolved batch to
+        ``journal`` when one is given.
         """
-        results: list[TrialResult] = []
-        for batch in batches:
-            results.extend(task.run_batch(batch))
-        return results
-
-    def run_supervised(self, task: TrialTask,
-                       units: Iterable[TrialSpec | TrialBatch], *,
-                       retry: RetryPolicy,
-                       journal: RunJournal | None = None,
-                       batch: bool = False) -> list[TrialResult]:
-        """Execute units (specs, or batches with ``batch=True``) under
-        supervision: fault injection, error capture, a wall-clock
-        watchdog, bounded retry, and incremental journaling.
-
-        The base implementation runs in-process, one unit at a time —
-        the reference semantics, and the path pool degradation falls
-        back to.  :class:`ParallelExecutor` overrides it with the
-        pool-rebuilding engine.
-        """
-        results: list[TrialResult] = []
-        for unit in units:
-            results.extend(
-                _supervise_serial_unit(task, unit, retry, journal, batch)
-            )
-        return results
 
 
 class SerialExecutor(Executor):
     """In-process execution — the reference the parallel path must match."""
 
-    def run_trials(self, task: Callable[[TrialSpec], TrialResult],
-                   specs: Iterable[TrialSpec]) -> list[TrialResult]:
-        return [task(spec) for spec in specs]
+    def execute(self, task: TrialTask, batches: Iterable[TrialBatch], *,
+                retry: RetryPolicy | None = None,
+                journal: RunJournal | None = None) -> list[TrialResult]:
+        return _run_serial(task, batches, retry, journal)
 
 
 # The task a ParallelExecutor is currently running.  Fork workers
 # inherit it via copy-on-write; spawn workers receive it pickled through
 # the pool initializer below.
-_ACTIVE_TASK: Callable[[TrialSpec], TrialResult] | None = None
-
-# Every worker function returns ``(payload, metrics_snapshot)``: the
-# snapshot is the worker registry's delta since its last shipment
-# (``None`` when metrics are off, so the common case adds two bytes of
-# pickle).  The driver folds the snapshots into its own registry as the
-# results come home — see repro.obs.metrics.
+_ACTIVE_TASK: TrialTask | None = None
 
 
-def _run_active_task(spec: TrialSpec) -> tuple[TrialResult, dict | None]:
-    if _ACTIVE_TASK is None:
-        raise RuntimeError("no active task in worker; pool misconfigured")
-    obs_metrics.worker_sync()
-    result = _ACTIVE_TASK(spec)
-    return result, obs_metrics.ship()
-
-
-def _run_active_batch(batch: TrialBatch
+def _run_active_batch(payload: tuple[TrialBatch, int | None]
                       ) -> tuple[list[TrialResult], dict | None]:
-    if _ACTIVE_TASK is None:
-        raise RuntimeError("no active task in worker; pool misconfigured")
-    obs_metrics.worker_sync()
-    results = _ACTIVE_TASK.run_batch(batch)
-    return results, obs_metrics.ship()
+    """The pool workers' entry: one batch, one attempt.
 
-
-def _run_supervised_trial(payload: tuple[TrialSpec, int]
-                          ) -> tuple[list[TrialResult], dict | None]:
-    spec, attempt = payload
-    if _ACTIVE_TASK is None:
-        raise RuntimeError("no active task in worker; pool misconfigured")
-    obs_metrics.worker_sync()
-    results = [_ACTIVE_TASK.run_supervised(spec, attempt=attempt)]
-    return results, obs_metrics.ship()
-
-
-def _run_supervised_batch(payload: tuple[TrialBatch, int]
-                          ) -> tuple[list[TrialResult], dict | None]:
+    Returns ``(results, metrics_snapshot)``: the snapshot is the worker
+    registry's delta since its last shipment (``None`` when metrics are
+    off), which the parent process folds into its own registry as the
+    results come home — see :mod:`repro.obs.metrics`.
+    """
     batch, attempt = payload
     if _ACTIVE_TASK is None:
         raise RuntimeError("no active task in worker; pool misconfigured")
     obs_metrics.worker_sync()
-    results = _ACTIVE_TASK.run_batch_supervised(batch, attempt=attempt)
+    results = (
+        _ACTIVE_TASK.run_batch(batch) if attempt is None
+        else _ACTIVE_TASK.run_batch_supervised(batch, attempt=attempt)
+    )
     return results, obs_metrics.ship()
-
-
-def _spawn_payload(task: object) -> bytes:
-    """Pickle the task (plus whether metrics are on) for spawn workers."""
-    return pickle.dumps((task, obs_metrics.get_metrics() is not None))
 
 
 def _install_pickled_task(payload: bytes) -> None:
@@ -506,39 +441,25 @@ def _install_pickled_task(payload: bytes) -> None:
     collected and shipped home all the same.
     """
     global _ACTIVE_TASK
-    loaded = pickle.loads(payload)
-    if (isinstance(loaded, tuple) and len(loaded) == 2
-            and isinstance(loaded[1], bool)):
-        task, metrics_on = loaded
-    else:  # pre-metrics payload shape: just the task
-        task, metrics_on = loaded, False
-    _ACTIVE_TASK = task
+    _ACTIVE_TASK, metrics_on = pickle.loads(payload)
     if metrics_on and obs_metrics.get_metrics() is None:
         obs_metrics.set_metrics(obs_metrics.MetricsRegistry())
 
 
-def _fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-def _task_name(task: object) -> str:
+def _task_name(task: TrialTask) -> str:
     """A human-readable task identity for degradation warnings."""
-    protocol = getattr(task, "protocol", None)
-    if protocol is None:
-        return repr(task)
-    instance_fn = getattr(task, "instance_fn", None)
 
     def name(fn: object) -> str:
         return getattr(fn, "__qualname__", None) or repr(fn)
 
     return (
-        f"TrialTask(protocol={name(protocol)}, "
-        f"instance_fn={name(instance_fn)})"
+        f"TrialTask(protocol={name(task.protocol)}, "
+        f"instance_fn={name(task.instance_fn)})"
     )
 
 
 # ----------------------------------------------------------------------
-# Supervision helpers (shared by the serial and parallel engines)
+# Supervision helpers (shared by the serial and parallel loops)
 # ----------------------------------------------------------------------
 
 def _call_with_timeout(fn: Callable[[], object],
@@ -588,12 +509,7 @@ def _kill_pool(pool: _PoolExecutor) -> None:
         pool.shutdown(wait=False, cancel_futures=True)
 
 
-def _unit_specs(unit: TrialSpec | TrialBatch,
-                batch: bool) -> list[TrialSpec]:
-    return list(unit.specs) if batch else [unit]  # type: ignore[union-attr]
-
-
-def _rebind_coordinates(unit: TrialSpec | TrialBatch, batch: bool,
+def _rebind_coordinates(batch: TrialBatch,
                         outcome: Sequence[TrialResult]) -> list[TrialResult]:
     """Rebuild worker-returned records on the driver's own spec objects.
 
@@ -609,46 +525,37 @@ def _rebind_coordinates(unit: TrialSpec | TrialBatch, batch: bool,
             point_index=spec.point_index, trial_index=spec.trial_index,
             n=spec.n, d=spec.d, k=spec.k, seed=spec.seed,
         )
-        for spec, result in zip(_unit_specs(unit, batch), outcome)
+        for spec, result in zip(batch.specs, outcome)
     ]
 
 
-def _timeout_results(unit: TrialSpec | TrialBatch, batch: bool,
+def _timeout_results(batch: TrialBatch,
                      retry: RetryPolicy) -> list[TrialResult]:
     message = f"trial timed out after {retry.timeout}s"
     return [
         TrialResult.from_error(spec, message, status="timeout")
-        for spec in _unit_specs(unit, batch)
+        for spec in batch.specs
     ]
 
 
-def _worker_lost_results(unit: TrialSpec | TrialBatch,
-                         batch: bool) -> list[TrialResult]:
+def _worker_lost_results(batch: TrialBatch) -> list[TrialResult]:
     return [
         TrialResult.from_error(spec, "worker process died (pool broken)")
-        for spec in _unit_specs(unit, batch)
+        for spec in batch.specs
     ]
 
 
-def _journal_unit(journal: RunJournal | None,
-                  unit: TrialSpec | TrialBatch, batch: bool,
-                  results: Sequence[TrialResult]) -> None:
+def _journal_batch(journal: RunJournal | None, batch: TrialBatch,
+                   results: Sequence[TrialResult]) -> None:
     if journal is None:
         return
-    for spec, result in zip(_unit_specs(unit, batch), results):
+    for spec, result in zip(batch.specs, results):
         journal.record(spec, result)
 
 
-def _attempt_serial(task: TrialTask, unit: TrialSpec | TrialBatch,
-                    attempt: int, batch: bool) -> list[TrialResult]:
-    if batch:
-        return task.run_batch_supervised(unit, attempt=attempt)
-    return [task.run_supervised(unit, attempt=attempt)]
-
-
-def _supervise_serial_unit(task: TrialTask, unit: TrialSpec | TrialBatch,
-                           retry: RetryPolicy, journal: RunJournal | None,
-                           batch: bool) -> list[TrialResult]:
+def _supervise_serial(task: TrialTask, batch: TrialBatch,
+                      retry: RetryPolicy,
+                      journal: RunJournal | None) -> list[TrialResult]:
     """The in-process attempt loop: timeout, capture, backoff, retry."""
     outcome: list[TrialResult] = []
     for attempt in range(retry.max_attempts):
@@ -658,43 +565,53 @@ def _supervise_serial_unit(task: TrialTask, unit: TrialSpec | TrialBatch,
             retry.sleep(retry.backoff(attempt - 1))
         try:
             outcome = _call_with_timeout(
-                lambda: _attempt_serial(task, unit, attempt, batch),
+                lambda: task.run_batch_supervised(batch, attempt=attempt),
                 retry.timeout,
             )
         except TrialTimeout:
             obs_trace.event("timeout", attempt=attempt,
                             timeout=retry.timeout)
-            outcome = _timeout_results(unit, batch, retry)
+            outcome = _timeout_results(batch, retry)
             continue
         if all(result.ok for result in outcome):
             break
-    _journal_unit(journal, unit, batch, outcome)
+    _journal_batch(journal, batch, outcome)
     return outcome
 
 
+def _run_serial(task: TrialTask, batches: Iterable[TrialBatch],
+                retry: RetryPolicy | None,
+                journal: RunJournal | None) -> list[TrialResult]:
+    """The in-process loop: the reference semantics, and what the pool
+    falls back to."""
+    results: list[TrialResult] = []
+    for batch in batches:
+        if retry is None:
+            results.extend(task.run_batch(batch))
+        else:
+            results.extend(_supervise_serial(task, batch, retry, journal))
+    return results
+
+
 class ParallelExecutor(Executor):
-    """Fan trials out over a process pool, in chunks.
+    """Fan batches out over a process pool.
 
     ``workers=None`` means all cores.  ``start_method=None`` picks
     ``fork`` where the platform offers it and ``spawn`` otherwise
     (Windows, macOS defaults, Python 3.14+); passing ``"fork"`` /
     ``"spawn"`` / ``"forkserver"`` pins it.  Falls back to serial
     execution when there is nothing to parallelise (one worker, one
-    spec), when re-entered from within another parallel run (the shared
+    batch), when re-entered from within another parallel run (the shared
     task slot is single-occupancy), or when a spawn-method pool is asked
     to run a task that does not pickle.
     """
 
     def __init__(self, workers: int | None = None,
-                 chunk_size: int | None = None,
                  start_method: str | None = None) -> None:
         self.workers = (
             resolve_workers(workers) if workers is not None
             else (os.cpu_count() or 1)
         )
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        self.chunk_size = chunk_size
         if start_method is not None:
             available = multiprocessing.get_all_start_methods()
             if start_method not in available:
@@ -704,34 +621,51 @@ class ParallelExecutor(Executor):
                 )
         self.start_method = start_method
 
-    def _chunk(self, total: int) -> int:
-        if self.chunk_size is not None:
-            return self.chunk_size
-        # ~4 chunks per worker balances scheduling overhead against the
-        # skew of heterogeneous grid points (big-n trials dwarf small-n).
-        return max(1, math.ceil(total / (self.workers * 4)))
-
     def _resolve_start_method(self) -> str:
         if self.start_method is not None:
             return self.start_method
+        available = multiprocessing.get_all_start_methods()
         env = os.environ.get("REPRO_START_METHOD", "").strip()
-        if env:
-            available = multiprocessing.get_all_start_methods()
-            if env not in available:
-                raise ValueError(
-                    f"REPRO_START_METHOD={env!r} not available here "
-                    f"(choose from {available})"
-                )
-            return env
-        return "fork" if _fork_available() else "spawn"
+        if not env:
+            return "fork" if "fork" in available else "spawn"
+        if env not in available:
+            raise ValueError(
+                f"REPRO_START_METHOD={env!r} not available here "
+                f"(choose from {available})"
+            )
+        return env
 
-    def run_trials(self, task: Callable[[TrialSpec], TrialResult],
-                   specs: Iterable[TrialSpec]) -> list[TrialResult]:
+    def execute(self, task: TrialTask, batches: Iterable[TrialBatch], *,
+                retry: RetryPolicy | None = None,
+                journal: RunJournal | None = None) -> list[TrialResult]:
+        """The pool loop.
+
+        Without a policy every batch is submitted once and the first
+        failure ``future.result()`` raises — a trial exception or a
+        ``BrokenProcessPool`` — propagates to the caller.
+
+        With a policy, work proceeds in *waves*: every unresolved batch
+        is submitted to the pool, results are collected in batch order
+        with the watchdog's per-batch budget, and failed batches re-enter
+        the next wave with an incremented attempt counter (after the
+        backoff pause).  A timeout or a dead worker poisons the pool —
+        running workers cannot be cancelled — so the pool is killed and
+        rebuilt between waves, up to ``retry.max_pool_rebuilds`` times;
+        after that the remaining batches degrade to the in-process serial
+        loop (where ``kill`` faults downgrade to ``raise``, and the sweep
+        still finishes with structured error records at worst).
+
+        A wave-wide ``BrokenProcessPool`` cannot be attributed to one
+        batch, so every batch still unresolved in that wave is charged an
+        attempt — this keeps the faulty batch's counter advancing (and
+        fault plans deterministic) at the price of innocent batches
+        occasionally burning an attempt alongside it.
+        """
         global _ACTIVE_TASK
-        spec_list = list(specs)
-        workers = min(self.workers, len(spec_list))
+        batch_list = list(batches)
+        workers = min(self.workers, len(batch_list))
         if workers <= 1 or _ACTIVE_TASK is not None:
-            return SerialExecutor().run_trials(task, spec_list)
+            return _run_serial(task, batch_list, retry, journal)
         method = self._resolve_start_method()
         pool_kwargs: dict = {}
         if method != "fork":
@@ -739,7 +673,9 @@ class ParallelExecutor(Executor):
             # once, pickled, through the initializer.  Closure-built
             # tasks cannot travel that way — run them serially.
             try:
-                payload = _spawn_payload(task)
+                payload = pickle.dumps(
+                    (task, obs_metrics.get_metrics() is not None)
+                )
             except Exception as error:
                 _LOGGER.warning(
                     "%s does not pickle under start method %r (%s); "
@@ -747,118 +683,11 @@ class ParallelExecutor(Executor):
                     "identical but parallelism is disabled for this run",
                     _task_name(task), method, error,
                 )
-                return SerialExecutor().run_trials(task, spec_list)
+                return _run_serial(task, batch_list, retry, journal)
             pool_kwargs = {
                 "initializer": _install_pickled_task,
                 "initargs": (payload,),
             }
-        _ACTIVE_TASK = task
-        try:
-            context = multiprocessing.get_context(method)
-            with _PoolExecutor(max_workers=workers,
-                               mp_context=context, **pool_kwargs) as pool:
-                results: list[TrialResult] = []
-                for result, shipped in pool.map(
-                        _run_active_task, spec_list,
-                        chunksize=self._chunk(len(spec_list))):
-                    obs_metrics.absorb(shipped)
-                    results.append(result)
-                return results
-        finally:
-            _ACTIVE_TASK = None
-
-    def run_batches(self, task: TrialTask,
-                    batches: Iterable[TrialBatch]) -> list[TrialResult]:
-        global _ACTIVE_TASK
-        batch_list = list(batches)
-        workers = min(self.workers, len(batch_list))
-        if workers <= 1 or _ACTIVE_TASK is not None:
-            return super().run_batches(task, batch_list)
-        method = self._resolve_start_method()
-        pool_kwargs: dict = {}
-        if method != "fork":
-            try:
-                payload = _spawn_payload(task)
-            except Exception as error:
-                _LOGGER.warning(
-                    "%s does not pickle under start method %r (%s); "
-                    "falling back to serial execution — records are "
-                    "identical but parallelism is disabled for this run",
-                    _task_name(task), method, error,
-                )
-                return super().run_batches(task, batch_list)
-            pool_kwargs = {
-                "initializer": _install_pickled_task,
-                "initargs": (payload,),
-            }
-        _ACTIVE_TASK = task
-        try:
-            context = multiprocessing.get_context(method)
-            with _PoolExecutor(max_workers=workers,
-                               mp_context=context, **pool_kwargs) as pool:
-                # A batch is already a coarse unit of work (a whole grid
-                # point), so no further chunking is needed.
-                results: list[TrialResult] = []
-                for group, shipped in pool.map(_run_active_batch,
-                                               batch_list, chunksize=1):
-                    obs_metrics.absorb(shipped)
-                    results.extend(group)
-                return results
-        finally:
-            _ACTIVE_TASK = None
-
-    def run_supervised(self, task: TrialTask,
-                       units: Iterable[TrialSpec | TrialBatch], *,
-                       retry: RetryPolicy,
-                       journal: RunJournal | None = None,
-                       batch: bool = False) -> list[TrialResult]:
-        """The pool-rebuilding supervision engine.
-
-        Work proceeds in *waves*: every unresolved unit is submitted to
-        the pool, results are collected in unit order with the
-        watchdog's per-unit budget, and failed units re-enter the next
-        wave with an incremented attempt counter (after the backoff
-        pause).  A timeout or a dead worker poisons the pool — running
-        workers cannot be cancelled — so the pool is killed and rebuilt
-        between waves, up to ``retry.max_pool_rebuilds`` times; after
-        that the remaining units degrade to the in-process serial
-        engine (where ``kill`` faults downgrade to ``raise``, and the
-        sweep still finishes with structured error records at worst).
-
-        A wave-wide ``BrokenProcessPool`` cannot be attributed to one
-        unit, so every unit still unresolved in that wave is charged an
-        attempt — this keeps the faulty unit's counter advancing (and
-        fault plans deterministic) at the price of innocent units
-        occasionally burning an attempt alongside it.
-        """
-        global _ACTIVE_TASK
-        unit_list = list(units)
-        workers = min(self.workers, len(unit_list))
-        if workers <= 1 or _ACTIVE_TASK is not None:
-            return super().run_supervised(
-                task, unit_list, retry=retry, journal=journal, batch=batch
-            )
-        method = self._resolve_start_method()
-        pool_kwargs: dict = {}
-        if method != "fork":
-            try:
-                payload = _spawn_payload(task)
-            except Exception as error:
-                _LOGGER.warning(
-                    "%s does not pickle under start method %r (%s); "
-                    "falling back to serial execution — records are "
-                    "identical but parallelism is disabled for this run",
-                    _task_name(task), method, error,
-                )
-                return super().run_supervised(
-                    task, unit_list, retry=retry, journal=journal,
-                    batch=batch,
-                )
-            pool_kwargs = {
-                "initializer": _install_pickled_task,
-                "initargs": (payload,),
-            }
-        worker_fn = _run_supervised_batch if batch else _run_supervised_trial
         context = multiprocessing.get_context(method)
 
         def make_pool() -> _PoolExecutor:
@@ -868,8 +697,8 @@ class ParallelExecutor(Executor):
         _ACTIVE_TASK = task
         pool: _PoolExecutor | None = make_pool()
         rebuilds = 0
-        # unit index -> attempt counter; resolved units leave the map.
-        remaining: dict[int, int] = {i: 0 for i in range(len(unit_list))}
+        # batch index -> attempt counter; resolved batches leave the map.
+        remaining: dict[int, int] = {i: 0 for i in range(len(batch_list))}
         results: dict[int, list[TrialResult]] = {}
         last_outcome: dict[int, list[TrialResult]] = {}
         try:
@@ -877,71 +706,71 @@ class ParallelExecutor(Executor):
                 if pool is None:
                     _LOGGER.warning(
                         "process pool could not be revived after %d "
-                        "rebuild(s); degrading %d unit(s) to serial "
+                        "rebuild(s); degrading %d batch(es) to serial "
                         "execution", rebuilds, len(remaining),
                     )
                     obs_trace.event("degrade_serial", units=len(remaining),
                                     rebuilds=rebuilds)
                     obs_metrics.inc("pool.degrade_serial")
                     for i in sorted(remaining):
-                        results[i] = _supervise_serial_unit(
-                            task, unit_list[i], retry, journal, batch
+                        results[i] = _supervise_serial(
+                            task, batch_list[i], retry, journal
                         )
                     remaining.clear()
                     break
                 futures = {
-                    i: pool.submit(worker_fn, (unit_list[i], remaining[i]))
-                    for i in sorted(remaining)
+                    i: pool.submit(
+                        _run_active_batch,
+                        (batch_list[i], None if retry is None else attempt),
+                    )
+                    for i, attempt in sorted(remaining.items())
                 }
                 break_kind: str | None = None  # None | "timeout" | "broken"
                 failed: list[int] = []
                 for i in sorted(futures):
                     future = futures[i]
+                    batch = batch_list[i]
                     if break_kind is not None and not future.done():
-                        # The pool is going down; this unit never got to
+                        # The pool is going down; this batch never got to
                         # run — it re-enters the next wave at the same
                         # attempt (except after a worker death, charged
                         # below to keep fault counters advancing).
                         future.cancel()
                         if break_kind == "broken":
                             failed.append(i)
-                            last_outcome[i] = _worker_lost_results(
-                                unit_list[i], batch
-                            )
+                            last_outcome[i] = _worker_lost_results(batch)
                         continue
                     try:
-                        wait = None if future.done() else retry.timeout
+                        wait = (
+                            None if retry is None or future.done()
+                            else retry.timeout
+                        )
                         outcome, shipped = future.result(timeout=wait)
                         obs_metrics.absorb(shipped)
-                    except _FuturesTimeout:
-                        break_kind = break_kind or "timeout"
+                    except Exception as error:
+                        if retry is None:
+                            raise
                         failed.append(i)
-                        obs_trace.event("timeout", unit=i,
-                                        timeout=retry.timeout)
-                        last_outcome[i] = _timeout_results(
-                            unit_list[i], batch, retry
-                        )
+                        if isinstance(error, _FuturesTimeout):
+                            break_kind = break_kind or "timeout"
+                            obs_trace.event("timeout", unit=i,
+                                            timeout=retry.timeout)
+                            last_outcome[i] = _timeout_results(batch, retry)
+                        elif isinstance(error, BrokenExecutor):
+                            break_kind = "broken"
+                            obs_trace.event("worker_lost", unit=i)
+                            obs_metrics.inc("pool.worker_lost")
+                            last_outcome[i] = _worker_lost_results(batch)
+                        else:  # defensive: capture happens worker-side
+                            last_outcome[i] = [
+                                TrialResult.from_error(spec, error)
+                                for spec in batch.specs
+                            ]
                         continue
-                    except BrokenExecutor:
-                        break_kind = "broken"
-                        failed.append(i)
-                        obs_trace.event("worker_lost", unit=i)
-                        obs_metrics.inc("pool.worker_lost")
-                        last_outcome[i] = _worker_lost_results(
-                            unit_list[i], batch
-                        )
-                        continue
-                    except Exception as error:  # defensive: capture happens
-                        failed.append(i)       # worker-side, so this is rare
-                        last_outcome[i] = [
-                            TrialResult.from_error(spec, error)
-                            for spec in _unit_specs(unit_list[i], batch)
-                        ]
-                        continue
-                    outcome = _rebind_coordinates(unit_list[i], batch, outcome)
+                    outcome = _rebind_coordinates(batch, outcome)
                     if all(result.ok for result in outcome):
                         results[i] = outcome
-                        _journal_unit(journal, unit_list[i], batch, outcome)
+                        _journal_batch(journal, batch, outcome)
                         del remaining[i]
                     else:
                         failed.append(i)
@@ -952,9 +781,7 @@ class ParallelExecutor(Executor):
                     attempt = remaining[i]
                     if attempt + 1 >= retry.max_attempts:
                         results[i] = last_outcome[i]
-                        _journal_unit(
-                            journal, unit_list[i], batch, last_outcome[i]
-                        )
+                        _journal_batch(journal, batch_list[i], last_outcome[i])
                         del remaining[i]
                     else:
                         remaining[i] = attempt + 1
@@ -978,7 +805,7 @@ class ParallelExecutor(Executor):
                     retry.sleep(retry.backoff(backoff_from))
             return [
                 result
-                for i in range(len(unit_list))
+                for i in range(len(batch_list))
                 for result in results[i]
             ]
         finally:
@@ -1015,8 +842,8 @@ def _deal_batches(batches: Sequence[TrialBatch],
                   flat: list[TrialResult],
                   spec_list: Sequence[TrialSpec]) -> list[TrialResult]:
     """Deal batch-grouped results back out in input spec order (a no-op
-    for the usual point-major spec lists)."""
-    if len(batches) <= 1:
+    for batches of one and for the usual point-major spec lists)."""
+    if len(batches) <= 1 or len(batches) == len(spec_list):
         return flat
     queues: dict[int, deque[TrialResult]] = {}
     position = 0
@@ -1043,19 +870,21 @@ def run_trials(protocol: ProtocolFn, instance_fn: InstanceFn,
                profile: bool = False) -> list[TrialResult]:
     """One-call convenience: wrap the callables in a task and execute.
 
-    ``batch=True`` routes through the per-grid-point batched engine
-    (instances built once per batch, coins from one batched
-    construction); ``batch=False`` is the per-trial reference path.
+    ``batch=True`` runs one :class:`~repro.runtime.spec.TrialBatch` per
+    grid point (instances built once per batch, coins from one batched
+    construction); ``batch=False`` runs every spec as a batch of one.
     Both return the same records in the same (input spec) order.
 
-    Fault-tolerance knobs (any of them engages the supervised engine;
-    all default off, leaving the historical paths byte-for-byte):
+    Fault-tolerance knobs.  With none of them the engine runs without a
+    policy and a trial exception propagates with its original type; any
+    of them supervises the run:
 
     retry:
-        A :class:`RetryPolicy` — error capture, per-unit wall-clock
+        A :class:`RetryPolicy` — error capture, per-batch wall-clock
         timeout, bounded deterministic retry-with-backoff, pool rebuild
         on worker death, serial degradation when the pool cannot be
-        revived.
+        revived.  Defaults to a single attempt when another knob
+        engages supervision.
     journal:
         A :class:`~repro.runtime.journal.RunJournal` (or a path one is
         opened at — and closed again — for the duration of the call).
@@ -1073,99 +902,66 @@ def run_trials(protocol: ProtocolFn, instance_fn: InstanceFn,
         ``TrialResult.extras["profile"]`` (opt-in; changes the record —
         see :mod:`repro.obs.profile`).
     """
-    with obs_trace.span("run_trials", specs=len(specs), batch=batch):
-        results = _run_trials_impl(
-            protocol, instance_fn, specs, workers=workers,
-            executor=executor, cache=cache, instance_key=instance_key,
-            metrics=metrics, batch=batch, retry=retry, journal=journal,
-            resume=resume, fault_plan=fault_plan, profile=profile,
-        )
-    registry = obs_metrics.get_metrics()
-    if registry is not None:
-        for result in results:
-            registry.inc(f"trial.{result.status}")
-    return results
-
-
-def _run_trials_impl(protocol: ProtocolFn, instance_fn: InstanceFn,
-                     specs: Sequence[TrialSpec], *,
-                     workers: int | None,
-                     executor: Executor | None,
-                     cache: InstanceCache | None,
-                     instance_key: str | None,
-                     metrics: MetricsFn | None,
-                     batch: bool,
-                     retry: RetryPolicy | None,
-                     journal: RunJournal | str | os.PathLike | None,
-                     resume: bool,
-                     fault_plan: "FaultPlan | None",
-                     profile: bool) -> list[TrialResult]:
+    if resume and journal is None:
+        raise ValueError("resume=True requires a journal")
     task = TrialTask(instance_fn, protocol, cache=cache,
                      instance_key=instance_key, metrics=metrics,
                      fault_plan=fault_plan, profile=profile)
     chosen = executor if executor is not None else default_executor(workers)
-    supervised = (
-        retry is not None or journal is not None or resume
-        or fault_plan is not None
-    )
-    if not supervised:
-        if not batch:
-            return chosen.run_trials(task, specs)
-        spec_list = list(specs)
-        batches = batch_specs(spec_list)
-        return _deal_batches(
-            batches, chosen.run_batches(task, batches), spec_list
-        )
-    if resume and journal is None:
-        raise ValueError("resume=True requires a journal")
-    policy = retry if retry is not None else RetryPolicy(max_attempts=1)
+    policy = retry
+    if policy is None and (journal is not None or fault_plan is not None):
+        policy = RetryPolicy(max_attempts=1)
     owns_journal = journal is not None and not isinstance(journal, RunJournal)
     journal_obj: RunJournal | None = (
         RunJournal(journal) if owns_journal else journal  # type: ignore[arg-type]
     )
     spec_list = list(specs)
     try:
-        replayed: dict[int, TrialResult] = {}
-        if resume and journal_obj is not None:
-            for index, spec in enumerate(spec_list):
-                recorded = journal_obj.get(spec)
-                if recorded is not None:
-                    # Rebuild the record on the caller's own spec
-                    # coordinate objects, exactly as a live
-                    # ``TrialResult.from_outcome`` would — this keeps
-                    # the within-point object sharing (and hence the
-                    # pickled byte stream of the whole record list)
-                    # identical to an uninterrupted run.
-                    replayed[index] = replace(
-                        recorded,
-                        point_index=spec.point_index,
-                        trial_index=spec.trial_index,
-                        n=spec.n, d=spec.d, k=spec.k, seed=spec.seed,
-                    )
-        if replayed:
-            obs_metrics.inc("journal.replayed", len(replayed))
-            obs_trace.event("resume", replayed=len(replayed),
-                            pending=len(spec_list) - len(replayed))
-        pending_indices = [
-            i for i in range(len(spec_list)) if i not in replayed
-        ]
-        pending = [spec_list[i] for i in pending_indices]
-        if batch:
-            batches = batch_specs(pending)
-            flat = chosen.run_supervised(
-                task, batches, retry=policy, journal=journal_obj, batch=True
+        with obs_trace.span("run_trials", specs=len(spec_list), batch=batch):
+            replayed: dict[int, TrialResult] = {}
+            if resume and journal_obj is not None:
+                for index, spec in enumerate(spec_list):
+                    recorded = journal_obj.get(spec)
+                    if recorded is not None:
+                        # Rebuild the record on the caller's own spec
+                        # coordinate objects, exactly as a live
+                        # ``TrialResult.from_outcome`` would — this keeps
+                        # the within-point object sharing (and hence the
+                        # pickled byte stream of the whole record list)
+                        # identical to an uninterrupted run.
+                        replayed[index] = replace(
+                            recorded,
+                            point_index=spec.point_index,
+                            trial_index=spec.trial_index,
+                            n=spec.n, d=spec.d, k=spec.k, seed=spec.seed,
+                        )
+            if replayed:
+                obs_metrics.inc("journal.replayed", len(replayed))
+                obs_trace.event("resume", replayed=len(replayed),
+                                pending=len(spec_list) - len(replayed))
+            pending_indices = [
+                i for i in range(len(spec_list)) if i not in replayed
+            ]
+            pending = [spec_list[i] for i in pending_indices]
+            batches = (
+                batch_specs(pending) if batch
+                else [_single(spec) for spec in pending]
             )
-            fresh = _deal_batches(batches, flat, pending)
-        else:
-            fresh = chosen.run_supervised(
-                task, pending, retry=policy, journal=journal_obj, batch=False
+            fresh = _deal_batches(
+                batches,
+                chosen.execute(task, batches, retry=policy,
+                               journal=journal_obj),
+                pending,
             )
-        merged: list[TrialResult | None] = [None] * len(spec_list)
-        for index, result in zip(pending_indices, fresh):
-            merged[index] = result
-        for index, result in replayed.items():
-            merged[index] = result
-        return merged  # type: ignore[return-value]
     finally:
         if owns_journal and journal_obj is not None:
             journal_obj.close()
+    results = fresh
+    if replayed:
+        by_index = {**dict(zip(pending_indices, fresh)), **replayed}
+        results = [by_index[i] for i in range(len(spec_list))]
+    registry = obs_metrics.get_metrics()
+    if registry is not None:
+        for result in results:
+            registry.inc(f"trial.{result.status}")
+    return results

@@ -1,4 +1,4 @@
-"""Deterministic runtime fault injection for the supervised executors.
+"""Deterministic runtime fault injection for the execution engine.
 
 Every recovery path in :mod:`repro.runtime.executor` — error capture,
 the timeout watchdog, retry-with-backoff, pool rebuild after a worker
@@ -6,8 +6,10 @@ death — needs to be exercised on demand in CI, not discovered in
 production.  A :class:`FaultPlan` is the seam: a picklable, frozen
 description of *which* trials fail, *how*, and for *how many attempts*,
 threaded onto a :class:`~repro.runtime.executor.TrialTask` via its
-``fault_plan=`` keyword and consulted only on the supervised execution
-paths (``run_supervised`` / ``run_batch_supervised``).
+``fault_plan=`` keyword.  Passing one to ``run_trials`` gives the
+engine a retry policy; the plan is consulted only by the supervised
+batch entry (:meth:`~repro.runtime.executor.TrialTask.run_batch_supervised`),
+once per trial and attempt.
 
 Determinism comes from being attempt-indexed rather than stateful: a
 fault fires iff the trial's coordinates match and the supervisor-passed

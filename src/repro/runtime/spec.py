@@ -62,9 +62,9 @@ class TrialResult:
     only) recorded by a :class:`~repro.runtime.executor.TrialTask`
     metrics hook.
 
-    ``status`` / ``error`` are the supervised executors' structured
-    failure channel: ``"ok"`` (the only status the unsupervised paths
-    ever produce) carries a real measurement, while ``"error"`` and
+    ``status`` / ``error`` are the supervised engine's structured
+    failure channel: ``"ok"`` (the only status an unsupervised run
+    ever produces) carries a real measurement, while ``"error"`` and
     ``"timeout"`` records stand in for trials whose every retry failed —
     the sweep survives and reports *what* failed instead of dying.
     Failed records carry ``bits=0.0`` / ``found=False`` placeholders and
@@ -158,11 +158,12 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class TrialBatch:
-    """All trials of one grid point — the batched engine's unit of work.
+    """The execution engine's unit of work: all trials of one grid point
+    (``batch=True``), or a single trial (``batch=False``).
 
-    Sharding stays by grid point: a parallel run hands whole batches to
-    workers, so the per-batch instance reuse never crosses a process
-    boundary and records stay byte-identical to per-trial execution.
+    A parallel run hands whole batches to workers, so the per-batch
+    instance reuse never crosses a process boundary and records are
+    byte-identical whichever way the specs were grouped.
     """
 
     point_index: int

@@ -5,6 +5,7 @@ import pytest
 from repro.graphs.triangles import triangle_edges
 from repro.lowerbounds.distributions import MuDistribution
 from repro.lowerbounds.oneway_protocols import (
+    OneWayCurvePoint,
     budget_success_curve,
     oneway_triangle_edge_protocol,
 )
@@ -113,6 +114,18 @@ class TestCurveParallel:
 
 
 class TestCurve:
+    def test_golden_curve(self):
+        """Pinned values: the sample seeds (``seed + 1009·t``), coin seeds
+        (``seed + t``) and per-budget aggregation must not drift."""
+        assert budget_success_curve(MU, [2, 16, 64], trials=6, seed=3) == [
+            OneWayCurvePoint(alice_budget=2, mean_bits=56.0,
+                             success_rate=0.0),
+            OneWayCurvePoint(alice_budget=16, mean_bits=448.0,
+                             success_rate=4 / 6),
+            OneWayCurvePoint(alice_budget=64, mean_bits=1792.0,
+                             success_rate=1.0),
+        ]
+
     def test_success_monotone_ish_in_budget(self):
         points = budget_success_curve(
             MU, budgets=[2, 16, 256], trials=8, seed=0

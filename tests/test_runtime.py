@@ -51,6 +51,21 @@ def sim_low_protocol(partition, seed):
     )
 
 
+def raising_protocol(partition, seed):
+    raise ValueError("protocol failure")
+
+
+_HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
+
+UNSUPERVISED_EXECUTORS = [
+    pytest.param(SerialExecutor, id="serial"),
+    pytest.param(
+        lambda: ParallelExecutor(workers=2, start_method="fork"), id="fork",
+        marks=pytest.mark.skipif(not _HAS_FORK, reason="fork unavailable"),
+    ),
+]
+
+
 class TestSeedDerivation:
     def test_deterministic(self):
         assert derive_seed(0, 1, 2) == derive_seed(0, 1, 2)
@@ -135,7 +150,7 @@ class TestExecutorIdentity:
         specs = build_specs(GRID, trials=4, sweep_seed=2)
         chunked = run_trials(
             sim_low_protocol, instance_fn, specs,
-            executor=ParallelExecutor(workers=3, chunk_size=1),
+            executor=ParallelExecutor(workers=3),
         )
         reference = run_trials(
             sim_low_protocol, instance_fn, specs,
@@ -171,6 +186,48 @@ class TestExecutorIdentity:
             sim_low_protocol, instance_fn, GRID, trials=2, seed=4, workers=1
         )
         assert by_knob.records == serial.records
+
+
+class TestUnsupervisedExceptions:
+    """With no retry/journal/resume/fault_plan nothing is captured: a
+    trial exception reaches the caller with its original type."""
+
+    @pytest.mark.parametrize("batch", [False, True])
+    @pytest.mark.parametrize("make_executor", UNSUPERVISED_EXECUTORS)
+    def test_run_trials_propagates(self, make_executor, batch):
+        specs = build_specs(GRID, trials=2, sweep_seed=0)
+        with pytest.raises(ValueError, match="protocol failure"):
+            run_trials(
+                raising_protocol, default_instance(epsilon=0.3, k=3), specs,
+                executor=make_executor(), batch=batch,
+            )
+
+    @pytest.mark.parametrize("batch", [False, True])
+    @pytest.mark.parametrize("make_executor", UNSUPERVISED_EXECUTORS)
+    def test_run_sweep_propagates(self, make_executor, batch):
+        with pytest.raises(ValueError, match="protocol failure"):
+            run_sweep(
+                raising_protocol, default_instance(epsilon=0.3, k=3), GRID,
+                trials=2, seed=0, executor=make_executor(), batch=batch,
+            )
+
+
+class TestNestedParallel:
+    def test_inner_parallel_run_falls_back_to_serial(self):
+        """A parallel run requested from inside a pool worker runs
+        serially there (the task slot is single-occupancy) and changes
+        no record."""
+        specs = build_specs(GRID, trials=2, sweep_seed=31)
+        serial = run_trials(
+            spawn_helpers.NestedProtocol(inner_workers=1),
+            spawn_helpers.spawn_instance, specs, executor=SerialExecutor(),
+        )
+        nested = run_trials(
+            spawn_helpers.NestedProtocol(inner_workers=2),
+            spawn_helpers.spawn_instance, specs,
+            executor=ParallelExecutor(workers=2),
+        )
+        assert pickle.dumps(nested) == pickle.dumps(serial)
 
 
 class TestSpawnExecutor:
