@@ -7,10 +7,12 @@ canonical epsilon-far disjoint partition, run once with the mask-native
 :class:`~repro.comm.players.Player` (cached partition adjacency rows,
 mask harvests, O(1) ledger) and once with the preserved
 :class:`~repro.comm.reference.SetPlayer` (per-trial frozenset shredding,
-per-edge Python set harvests).  Both execute the identical protocol code
-through the ``player_factory`` seam, and every ``DetectionResult`` —
-triangle, witness edges, cost summary, details — is asserted equal
-before a speedup is reported.
+per-edge Python set harvests).  Both execute the identical protocol code:
+the reference run swaps the protocol module's ``make_players`` binding
+for :func:`~repro.comm.reference.make_set_players` with
+``unittest.mock.patch.object`` (and checks the swap took), and every
+``DetectionResult`` — triangle, witness edges, cost summary, details —
+is asserted equal before a speedup is reported.
 
 The engine PR's acceptance bar: >= 3x on every protocol at n in
 2000-4000, byte-identical outputs.  Results are also written to
@@ -32,13 +34,14 @@ import json
 import platform
 import sys
 from pathlib import Path
+from unittest import mock
 
 from baseline import check_baseline
 from timing_helpers import best_of
 
 from repro.analysis.table1 import far_disjoint_instance
-from repro.comm.players import make_players
 from repro.comm.reference import make_set_players
+from repro.core import oblivious, simultaneous_high, simultaneous_low
 from repro.core.oblivious import ObliviousParams, find_triangle_sim_oblivious
 from repro.core.simultaneous_high import SimHighParams, find_triangle_sim_high
 from repro.core.simultaneous_low import SimLowParams, find_triangle_sim_low
@@ -51,29 +54,52 @@ SPEEDUP_FLOOR = 3.0
 TRIAL_SEED = 1
 K = 3
 
+#: (name, module whose ``make_players`` binding the reference run swaps,
+#: protocol call).
 PROTOCOLS = [
     (
         "sim-low",
-        lambda part, factory: find_triangle_sim_low(
+        simultaneous_low,
+        lambda part: find_triangle_sim_low(
             part, SimLowParams(epsilon=0.2, delta=0.2), seed=TRIAL_SEED,
-            player_factory=factory,
         ),
     ),
     (
         "sim-high",
-        lambda part, factory: find_triangle_sim_high(
+        simultaneous_high,
+        lambda part: find_triangle_sim_high(
             part, SimHighParams(epsilon=0.2, delta=0.2, c=2.0),
-            seed=TRIAL_SEED, player_factory=factory,
+            seed=TRIAL_SEED,
         ),
     ),
     (
         "oblivious",
-        lambda part, factory: find_triangle_sim_oblivious(
+        oblivious,
+        lambda part: find_triangle_sim_oblivious(
             part, ObliviousParams(epsilon=0.2, delta=0.2), seed=TRIAL_SEED,
-            player_factory=factory,
         ),
     ),
 ]
+
+
+def best_of_on_set_players(repeats: int, module, protocol, partition):
+    """:func:`best_of` with ``module.make_players`` swapped for the set
+    reference.  Raises if the swap never took effect, which would
+    otherwise time mask players against themselves."""
+    calls = []
+
+    def factory(view):
+        calls.append(view)
+        return make_set_players(view)
+
+    with mock.patch.object(module, "make_players", factory):
+        result = best_of(repeats, protocol, partition)
+    if len(calls) != repeats:
+        raise RuntimeError(
+            f"{module.__name__}.make_players swap ran {len(calls)} of "
+            f"{repeats} times; the reference timing would be vacuous"
+        )
+    return result
 
 
 def run_grid(grid, repeats: int = 5) -> list[dict]:
@@ -81,12 +107,10 @@ def run_grid(grid, repeats: int = 5) -> list[dict]:
     rows = []
     for n, d in grid:
         partition = build(n, d, 7)
-        for name, protocol in PROTOCOLS:
-            mask_s, mask_out = best_of(
-                repeats, lambda: protocol(partition, make_players)
-            )
-            set_s, set_out = best_of(
-                repeats, lambda: protocol(partition, make_set_players)
+        for name, module, protocol in PROTOCOLS:
+            mask_s, mask_out = best_of(repeats, protocol, partition)
+            set_s, set_out = best_of_on_set_players(
+                repeats, module, protocol, partition
             )
             # Mismatches are recorded, not raised: the JSON must reflect
             # the failing run (it is written before the gate fires).

@@ -35,6 +35,7 @@ from pathlib import Path
 
 from repro.analysis import table1
 from repro.analysis.table1 import generate_table1
+from repro.graphs.kernels import BACKEND_ENV_VAR, kernel_names
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry
@@ -95,12 +96,20 @@ def main(argv: list[str] | None = None) -> int:
     if args.backend is not None:
         # Environment, not a threaded argument: sweeps re-resolve the
         # backend inside worker processes from REPRO_GRAPH_BACKEND.
-        os.environ["REPRO_GRAPH_BACKEND"] = args.backend
+        os.environ[BACKEND_ENV_VAR] = args.backend
 
     try:  # surface a bad --workers/REPRO_WORKERS before any sweep runs
         resolve_workers(args.workers)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
+        return 2
+
+    # Likewise a bad REPRO_GRAPH_BACKEND (--backend is checked by argparse).
+    backend = os.environ.get(BACKEND_ENV_VAR)
+    if backend and backend not in kernel_names():
+        print(f"error: unknown graph backend {backend!r} in "
+              f"{BACKEND_ENV_VAR}; known: {', '.join(kernel_names())}",
+              file=sys.stderr)
         return 2
 
     row_fn = None

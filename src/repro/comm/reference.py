@@ -16,8 +16,10 @@ as an executable specification, mirroring
 methods, :meth:`sorted_edges`) the rebuilt protocols call, computed the
 slow way — masks are expanded to vertex sets, the original set algorithms
 run, and results are order-normalized to the kernel's ascending canonical
-order — so any protocol entry point accepting a ``player_factory`` runs
-unmodified on either backend.
+order — so every protocol entry point runs unmodified on either backend.
+A differential run swaps the entry point's module-level ``make_players``
+binding for :func:`make_set_players` (``monkeypatch.setattr`` in the
+tests, ``unittest.mock.patch.object`` in the bench).
 
 Nothing in the production code imports this module.
 """

@@ -30,7 +30,7 @@ optional ``reference`` extra).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.graphs.graph import Edge
 from repro.graphs.triangles import (
@@ -84,15 +84,10 @@ def set_union_triangle_referee(messages: Iterable[Iterable[Edge]]
 
 def rows_union_subgraph_referee(
     messages: Iterable[Iterable[Edge]], n: int, pattern: SubgraphPattern,
-    matcher: Callable = find_copy_in_rows,
 ) -> tuple[int, ...] | None:
-    """The mask-native H referee: union as rows, canonical-first copy.
-
-    ``matcher`` is the seam reference runs swap for
-    :func:`repro.patterns.reference.find_copy_in_rows_reference`.
-    """
+    """The mask-native H referee: union as rows, canonical-first copy."""
     with obs_profile.phase("referee"):
-        return matcher(union_rows(messages, n), pattern)
+        return find_copy_in_rows(union_rows(messages, n), pattern)
 
 
 def set_union_subgraph_referee(messages: Iterable[Iterable[Edge]],
@@ -100,8 +95,8 @@ def set_union_subgraph_referee(messages: Iterable[Iterable[Edge]],
                                ) -> tuple[int, ...] | None:
     """The historical H referee: ``set[Edge]`` union + networkx VF2.
 
-    Reference-only (the last set-based union in production code, now
-    retired to this seam); the copy it reports is VF2's own, so
+    Reference-only (the last set-based union, kept as an executable
+    specification); the copy it reports is VF2's own, so
     differential tests compare found/not-found and validate copies.
     """
     from repro.patterns.reference import find_copy_among_reference

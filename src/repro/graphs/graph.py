@@ -17,8 +17,7 @@ storage and bulk mask arithmetic live in a pluggable *mask kernel*
 ``Graph(n, backend=...)`` picks explicitly; otherwise the
 ``REPRO_GRAPH_BACKEND`` environment variable, then the ``auto`` policy
 (packed above :data:`repro.graphs.kernels.PACKED_AUTO_THRESHOLD`
-vertices) decide — the same seam style as ``player_factory=`` and
-``matcher=``.  Whatever the backend, every query speaks the Python-int
+vertices) decide.  Whatever the backend, every query speaks the Python-int
 mask exchange format, so pinned-seed runs are byte-identical across
 backends and callers never see which kernel is underneath.
 

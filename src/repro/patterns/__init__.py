@@ -11,7 +11,7 @@ workloads:
 * :mod:`repro.patterns.plant` — planted / mixed / free-by-removal
   scenario generators on the bulk row primitives;
 * :mod:`repro.patterns.reference` — the networkx VF2 matcher, preserved
-  as the optional-dependency differential seam.
+  as the optional-dependency differential oracle.
 """
 
 from repro.patterns.catalog import (

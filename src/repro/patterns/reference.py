@@ -1,10 +1,12 @@
-"""The networkx VF2 reference matcher — differential seam, not a hot path.
+"""The networkx VF2 reference matcher — differential oracle, not a hot path.
 
 Until this subsystem existed, ``find_copy_among`` delegated the H-copy
 search to networkx's generic VF2 matcher.  That implementation survives
 here as the executable specification the differential tests pin the mask
-matcher against, and as the ``matcher=`` seam value for reference runs
-of :func:`repro.core.subgraph_detection.find_subgraph_simultaneous`.
+matcher against; a VF2-refereed run of
+:func:`repro.core.subgraph_detection.find_subgraph_simultaneous` swaps
+that module's ``find_copy_in_rows`` binding for
+:func:`find_copy_in_rows_reference`.
 
 networkx is an *optional* dependency (the ``reference`` extra in
 ``pyproject.toml``): no production code path imports this module, and
@@ -80,8 +82,9 @@ def find_copy_in_rows_reference(rows: Sequence[int],
                                 ) -> tuple[int, ...] | None:
     """Rows-interface twin of :func:`find_copy_among_reference`.
 
-    Unpacks the adjacency masks into an edge list and runs VF2 — the
-    drop-in ``matcher=`` seam value for reference referee runs.
+    Unpacks the adjacency masks into an edge list and runs VF2 — a
+    drop-in replacement for :func:`repro.patterns.matcher.find_copy_in_rows`
+    in reference referee runs.
     """
     edges = []
     for u, mask in enumerate(rows):

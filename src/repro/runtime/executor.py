@@ -282,14 +282,6 @@ class TrialTask:
             return SharedRandomness.batch([spec.seed for spec in batch.specs])
         return [None] * len(batch.specs)
 
-    def __call__(self, spec: TrialSpec) -> TrialResult:
-        return self.run_batch(_single(spec))[0]
-
-    def run_supervised(self, spec: TrialSpec, *,
-                       attempt: int = 0) -> TrialResult:
-        """One trial with fault injection and error capture."""
-        return self.run_batch_supervised(_single(spec), attempt=attempt)[0]
-
     def run_batch(self, batch: TrialBatch) -> list[TrialResult]:
         """Run one batch's trials against batch-local instances.
 

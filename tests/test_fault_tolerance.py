@@ -35,6 +35,7 @@ from repro.runtime import (
     RetryPolicy,
     RunJournal,
     SerialExecutor,
+    TrialBatch,
     TrialTask,
     build_specs,
     run_trials,
@@ -606,6 +607,10 @@ class TestSweepIntegration:
         assert base.points == resumed.points
 
 
+def one_spec_batch(spec) -> TrialBatch:
+    return TrialBatch(point_index=spec.point_index, specs=(spec,))
+
+
 class TestSupervisedTaskUnits:
     def test_run_supervised_captures_metrics_failure(self):
         def bad_metrics(spec, instance, outcome):
@@ -613,7 +618,7 @@ class TestSupervisedTaskUnits:
 
         task = TrialTask(tiny_instance, tiny_protocol, metrics=bad_metrics)
         spec = build_grid_specs()[0]
-        result = task.run_supervised(spec)
+        (result,) = task.run_batch_supervised(one_spec_batch(spec))
         assert not result.ok
         assert "metrics bug" in result.error
 
@@ -623,7 +628,7 @@ class TestSupervisedTaskUnits:
         ])
         task = TrialTask(tiny_instance, tiny_protocol, fault_plan=plan)
         spec = build_grid_specs()[0]
-        first = task.run_supervised(spec, attempt=1)
-        second = task.run_supervised(spec, attempt=1)
+        (first,) = task.run_batch_supervised(one_spec_batch(spec), attempt=1)
+        (second,) = task.run_batch_supervised(one_spec_batch(spec), attempt=1)
         assert first == second
         assert pickle.dumps(first) == pickle.dumps(second)

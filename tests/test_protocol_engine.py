@@ -213,65 +213,93 @@ def _partition(n: int, d: float, k: int, seed: int, duplicated: bool):
     return partition_disjoint(graph, k, seed=seed + 1)
 
 
+def _on_set_players(monkeypatch, target: str, protocol, partition,
+                    *args, **kwargs):
+    """Run ``protocol`` with ``target`` (a module's ``make_players``
+    binding) swapped for the set reference.
+
+    Asserts the set-player factory really ran: a swap that patched the
+    wrong binding would compare mask players with mask players and pass
+    vacuously.
+    """
+    calls = []
+
+    def factory(view):
+        calls.append(view)
+        return make_set_players(view)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(target, factory)
+        result = protocol(partition, *args, **kwargs)
+    assert len(calls) == 1 and calls[0] is partition, (
+        f"{target} was not the binding {protocol.__name__} calls"
+    )
+    return result
+
+
 class TestProtocolDifferential:
     """Whole protocol runs agree between the two player backends."""
 
     @pytest.mark.parametrize("duplicated", [False, True])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_sim_low_identical(self, seed, duplicated):
+    def test_sim_low_identical(self, seed, duplicated, monkeypatch):
         partition = _partition(120, 5.0, 3, seed, duplicated)
         params = SimLowParams(epsilon=0.2, delta=0.2)
         mask = find_triangle_sim_low(partition, params, seed=seed)
-        ref = find_triangle_sim_low(
-            partition, params, seed=seed, player_factory=make_set_players
+        ref = _on_set_players(
+            monkeypatch, "repro.core.simultaneous_low.make_players",
+            find_triangle_sim_low, partition, params, seed=seed,
         )
         assert mask == ref
 
     @pytest.mark.parametrize("duplicated", [False, True])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_sim_high_identical(self, seed, duplicated):
+    def test_sim_high_identical(self, seed, duplicated, monkeypatch):
         partition = _partition(120, 8.0, 3, seed, duplicated)
         for bernoulli in (False, True):
             params = SimHighParams(
                 epsilon=0.2, delta=0.2, bernoulli_sampling=bernoulli
             )
             mask = find_triangle_sim_high(partition, params, seed=seed)
-            ref = find_triangle_sim_high(
-                partition, params, seed=seed,
-                player_factory=make_set_players,
+            ref = _on_set_players(
+                monkeypatch, "repro.core.simultaneous_high.make_players",
+                find_triangle_sim_high, partition, params, seed=seed,
             )
             assert mask == ref
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_oblivious_identical(self, seed):
+    def test_oblivious_identical(self, seed, monkeypatch):
         partition = _partition(120, 6.0, 4, seed, True)
         params = ObliviousParams(epsilon=0.2, delta=0.2)
         mask = find_triangle_sim_oblivious(partition, params, seed=seed)
-        ref = find_triangle_sim_oblivious(
-            partition, params, seed=seed, player_factory=make_set_players
+        ref = _on_set_players(
+            monkeypatch, "repro.core.oblivious.make_players",
+            find_triangle_sim_oblivious, partition, params, seed=seed,
         )
         assert mask == ref
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_unrestricted_identical(self, seed):
+    def test_unrestricted_identical(self, seed, monkeypatch):
         partition = _partition(100, 6.0, 3, seed, True)
         params = UnrestrictedParams(
             epsilon=0.2, delta=0.2, known_average_degree=6.0,
             samples_per_bucket=4, max_candidates=3,
         )
         mask = find_triangle_unrestricted(partition, params, seed=seed)
-        ref = find_triangle_unrestricted(
-            partition, params, seed=seed, player_factory=make_set_players
+        ref = _on_set_players(
+            monkeypatch, "repro.core.unrestricted.make_players",
+            find_triangle_unrestricted, partition, params, seed=seed,
         )
         assert mask == ref
 
-    def test_subgraph_identical(self):
+    def test_subgraph_identical(self, monkeypatch):
         partition = _partition(120, 6.0, 3, 5, False)
         params = SubgraphParams(epsilon=0.2, rounds=2)
         mask = find_subgraph_simultaneous(partition, FOUR_CYCLE, params, seed=3)
-        ref = find_subgraph_simultaneous(
-            partition, FOUR_CYCLE, params, seed=3,
-            player_factory=make_set_players,
+        ref = _on_set_players(
+            monkeypatch, "repro.core.subgraph_detection.make_players",
+            find_subgraph_simultaneous, partition, FOUR_CYCLE, params,
+            seed=3,
         )
         assert mask == ref
 

@@ -199,15 +199,6 @@ class TestVectorizedEquivalence:
         assert scalar.random() == vector.random()
         assert a == SharedRandomness(11).random()
 
-    def test_vectorized_requires_numpy_guard(self):
-        import repro.comm.randomness as rnd
-
-        if rnd._np is None:
-            with pytest.raises(RuntimeError):
-                SharedRandomness(0, vectorized=True)
-        else:
-            SharedRandomness(0, vectorized=True)
-
 
 class TestBatchConstruction:
     """SharedRandomness.batch(seeds) streams == per-seed construction."""
@@ -268,10 +259,6 @@ class TestBatchHypothesis:
     )
     @settings(max_examples=40, deadline=None)
     def test_vectorized_scalar_equivalence(self, seed, universe, p):
-        import repro.comm.randomness as rnd
-
-        if rnd._np is None:
-            pytest.skip("numpy unavailable")
         scalar = SharedRandomness(seed, vectorized=False)
         vector = SharedRandomness(seed, vectorized=True)
         assert scalar.bernoulli_subset_mask(

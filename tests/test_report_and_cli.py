@@ -23,6 +23,15 @@ class TestCli:
         assert exit_code == 2
         assert "unknown row" in capsys.readouterr().err
 
+    def test_bad_backend_env_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_GRAPH_BACKEND", "bogus")
+        exit_code = main(["--row", "T1-R6"])
+        assert exit_code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown graph backend 'bogus'")
+        assert "Traceback" not in err
+        assert "bigint" in err
+
     def test_rows_by_id_covers_all(self):
         from repro.analysis.table1 import ALL_ROWS
 

@@ -25,6 +25,7 @@ from repro.runtime import (
     InstanceCache,
     ParallelExecutor,
     SerialExecutor,
+    TrialBatch,
     TrialResult,
     TrialSpec,
     TrialTask,
@@ -418,13 +419,17 @@ class TestCanonicalDiskKeys:
         assert cache.get_or_build(("k", Hashable()), lambda: token) is token
 
 
+def one_spec_batch(spec: TrialSpec) -> TrialBatch:
+    return TrialBatch(point_index=spec.point_index, specs=(spec,))
+
+
 class TestTrialTask:
     def test_result_records_spec_coordinates(self):
         task = TrialTask(
             default_instance(epsilon=0.3, k=3), sim_low_protocol
         )
         spec = build_specs(GRID, trials=1, sweep_seed=0)[1]
-        result = task(spec)
+        (result,) = task.run_batch(one_spec_batch(spec))
         assert isinstance(result, TrialResult)
         assert (result.point_index, result.trial_index) == (1, 0)
         assert result.seed == spec.seed
@@ -438,7 +443,8 @@ class TestTrialTask:
             default_instance(epsilon=0.3, k=3), sim_low_protocol,
             metrics=metrics,
         )
-        result = task(TrialSpec(0, 0, 200, 4.0, 3, seed=derive_seed(0, 0, 0)))
+        spec = TrialSpec(0, 0, 200, 4.0, 3, seed=derive_seed(0, 0, 0))
+        (result,) = task.run_batch(one_spec_batch(spec))
         assert result.extras["k"] == 3
         assert result.extras["bits_echo"] == result.bits
 

@@ -15,6 +15,7 @@ from repro.streaming.reduction import (
     space_lower_bound_from_oneway,
     streaming_to_oneway,
 )
+from repro.streaming.reference import streaming_to_oneway_reference
 from repro.streaming.stream import (
     canonical_row_batches,
     run_stream,
@@ -288,8 +289,8 @@ class TestReduction:
         """The mask chain is pinned to the per-edge predecessor."""
         instance = far_instance(150, 5.0, 0.3, seed=21)
         partition = partition_disjoint(instance.graph, 3, seed=22)
-        rows = streaming_to_oneway(partition, factory, row_batched=True)
-        edges = streaming_to_oneway(partition, factory, row_batched=False)
+        rows = streaming_to_oneway(partition, factory)
+        edges = streaming_to_oneway_reference(partition, factory)
         assert rows.output == edges.output
         assert rows.total_bits == edges.total_bits
         assert rows.transcript.messages == edges.transcript.messages

@@ -205,15 +205,42 @@ class TestRowsRefereeBaseline:
             assert instance.graph.has_edge(u, v)
 
 
+def _vf2_refereed(monkeypatch, partition, pattern, params, seed):
+    """Run the subgraph tester with its referee's ``find_copy_in_rows``
+    binding swapped for the preserved VF2 matcher.
+
+    Asserts the VF2 matcher really ran: a swap that patched the wrong
+    binding would compare the mask matcher with itself and pass
+    vacuously.
+    """
+    from repro.patterns.reference import find_copy_in_rows_reference
+
+    calls = []
+
+    def matcher(rows, h):
+        calls.append(h)
+        return find_copy_in_rows_reference(rows, h)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            "repro.core.subgraph_detection.find_copy_in_rows", matcher
+        )
+        result = find_subgraph_simultaneous(
+            partition, pattern, params, seed=seed
+        )
+    assert calls and all(h is pattern for h in calls), (
+        "the VF2 matcher never ran: the swap missed the referee's binding"
+    )
+    return result
+
+
 @pytest.mark.skipif(not networkx_available(),
                     reason="optional reference dep networkx missing")
 class TestMatcherSeamDifferential:
-    """The preserved VF2 referee, through the ``matcher=`` seam."""
+    """The preserved VF2 referee, swapped in for the rows matcher."""
 
     @pytest.mark.parametrize("pattern", [FOUR_CLIQUE, FOUR_CYCLE, FIVE_CYCLE])
-    def test_vf2_referee_agrees_on_found_and_bits(self, pattern):
-        from repro.patterns.reference import find_copy_in_rows_reference
-
+    def test_vf2_referee_agrees_on_found_and_bits(self, pattern, monkeypatch):
         instance = planted_disjoint_subgraphs(
             300, pattern, 15, seed=12, background_degree=1.5
         )
@@ -223,10 +250,7 @@ class TestMatcherSeamDifferential:
             mask = find_subgraph_simultaneous(
                 partition, pattern, params, seed=seed
             )
-            vf2 = find_subgraph_simultaneous(
-                partition, pattern, params, seed=seed,
-                matcher=find_copy_in_rows_reference,
-            )
+            vf2 = _vf2_refereed(monkeypatch, partition, pattern, params, seed)
             # Identical messages and charges; identical verdict and
             # winning round.  Only the reported image may differ, and
             # both must be genuine.
@@ -238,9 +262,7 @@ class TestMatcherSeamDifferential:
                 assert is_copy_in_rows(rows, pattern, mask.copy)
                 assert is_copy_in_rows(rows, pattern, vf2.copy)
 
-    def test_vf2_referee_agrees_on_h_free_control(self):
-        from repro.patterns.reference import find_copy_in_rows_reference
-
+    def test_vf2_referee_agrees_on_h_free_control(self, monkeypatch):
         control = bipartite_triangle_free(300, 5.0, seed=14)
         partition = partition_disjoint(control, 3, seed=15)
         params = SubgraphParams(epsilon=0.2, c=2.0, rounds=2)
@@ -248,9 +270,6 @@ class TestMatcherSeamDifferential:
             mask = find_subgraph_simultaneous(
                 partition, pattern, params, seed=16
             )
-            vf2 = find_subgraph_simultaneous(
-                partition, pattern, params, seed=16,
-                matcher=find_copy_in_rows_reference,
-            )
+            vf2 = _vf2_refereed(monkeypatch, partition, pattern, params, 16)
             assert not mask.found and not vf2.found
             assert mask == vf2
