@@ -11,6 +11,7 @@ The methods mirror the local steps of Sections 3.1, 3.3 and 3.4:
 
 * degree bookkeeping (``local_degree``, ``degree_msb_index``, ``B~_i^j``),
 * permutation-ranked minima (Algorithm 1's unbiased sampling trick),
+  each one vectorised public-coin call over the candidate array,
 * edge harvesting against publicly sampled vertex sets (Algorithms 4, 7-10),
 * the closing-edge check that finishes the unrestricted protocol
   ("each player examines its own input ... for an edge that closes a
@@ -35,8 +36,16 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from repro.graphs.buckets import player_suspected_bucket
-from repro.graphs.graph import Edge, canonical_edge, iter_bits, mask_of
+import numpy as np
+
+from repro.graphs.buckets import suspected_degree_range
+from repro.graphs.graph import (
+    Edge,
+    bit_positions,
+    canonical_edge,
+    iter_bits,
+    mask_of,
+)
 
 __all__ = ["Player", "make_players"]
 
@@ -65,7 +74,7 @@ class Player:
 
     __slots__ = (
         "player_id", "n", "_rows", "_num_edges", "_edges_cache",
-        "_degrees_cache",
+        "_degree_array", "_bucket_cache",
     )
 
     def __init__(self, player_id: int, n: int, edges: Iterable[Edge] = (),
@@ -87,7 +96,8 @@ class Player:
         self._rows = rows
         self._num_edges = num_edges
         self._edges_cache: frozenset[Edge] | None = None
-        self._degrees_cache: dict[int, int] | None = None
+        self._degree_array: np.ndarray | None = None
+        self._bucket_cache: dict[tuple[int, int], np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Introspection (local, free)
@@ -166,36 +176,47 @@ class Player:
             return None
         return degree.bit_length() - 1
 
-    def suspected_bucket(self, index: int, k: int) -> set[int]:
-        """B~_i^j: vertices with 3^i / k <= d_j(v) <= 3^(i+1)."""
-        if self._degrees_cache is None:
-            self._degrees_cache = {
-                v: row.bit_count()
-                for v, row in enumerate(self._rows) if row
-            }
-        return player_suspected_bucket(self._degrees_cache, index, k)
+    def suspected_bucket(self, index: int, k: int) -> np.ndarray:
+        """B~_i^j: vertices with 3^(i-1) / k <= d_j(v) <= 3^i.
+
+        An ascending, read-only int64 array, ready for one vectorised
+        rank call.  Memoised per ``(index, k)``: the rows are read-only,
+        so the bucket is a pure function of its arguments.
+        """
+        bucket = self._bucket_cache.get((index, k))
+        if bucket is None:
+            if self._degree_array is None:
+                self._degree_array = np.fromiter(
+                    (row.bit_count() for row in self._rows),
+                    dtype=np.int64, count=len(self._rows),
+                )
+            lower, upper = suspected_degree_range(index, k)
+            degrees = self._degree_array
+            bucket = np.flatnonzero((degrees >= lower) & (degrees <= upper))
+            bucket.flags.writeable = False
+            self._bucket_cache[(index, k)] = bucket
+        return bucket
 
     # ------------------------------------------------------------------
     # Permutation-ranked minima (Algorithm 1 and the §3.1 primitives)
     # ------------------------------------------------------------------
     def first_vertex_under_rank(self, candidates: Iterable[int],
-                                rank: Callable[[int], tuple]) -> int | None:
+                                rank: Callable) -> int | None:
         """Lowest-ranked vertex among ``candidates`` (public order).
 
         Because every player evaluates the same public rank, the minimum
         over all players' minima is the global minimum — an unbiased,
-        duplication-immune uniform sample.
+        duplication-immune uniform sample.  The whole candidate set is
+        ranked in one vectorised ``rank`` call; ranks are distinct, so
+        the ``argmin`` is the unique minimum.
         """
-        best: int | None = None
-        best_rank: tuple | None = None
-        for v in candidates:
-            r = rank(v)
-            if best_rank is None or r < best_rank:
-                best, best_rank = v, r
-        return best
+        if not isinstance(candidates, np.ndarray):
+            candidates = np.fromiter(candidates, dtype=np.int64)
+        if not candidates.size:
+            return None
+        return int(candidates[np.argmin(rank(candidates))])
 
-    def first_incident_edge_under_rank(self, v: int,
-                                       rank: Callable[[int], tuple]
+    def first_incident_edge_under_rank(self, v: int, rank: Callable
                                        ) -> Edge | None:
         """Lowest-ranked edge of E_j incident to v, ranking by far endpoint.
 
@@ -204,17 +225,17 @@ class Player:
         coordinator then takes the global minimum over players' minima.
         """
         best_neighbor = self.first_vertex_under_rank(
-            iter_bits(self._row(v)), rank
+            bit_positions(self._row(v)), rank
         )
         if best_neighbor is None:
             return None
         return canonical_edge(v, best_neighbor)
 
-    def first_edge_under_rank(self, rank: Callable[[Edge], tuple]
+    def first_edge_under_rank(self, rank: Callable[[Edge], int]
                               ) -> Edge | None:
         """Lowest-ranked edge of E_j under a public order on edges."""
         best: Edge | None = None
-        best_rank: tuple | None = None
+        best_rank: int | None = None
         for edge in self._iter_edges():
             r = rank(edge)
             if best_rank is None or r < best_rank:
@@ -322,14 +343,14 @@ class Player:
             return any(row >> u & 1 for u in sample)
         return any(u in sample for u in iter_bits(row))
 
-    def any_incident_neighbor_in(self, v: int,
-                                 pred: Callable[[int], bool]) -> bool:
+    def any_incident_neighbor_in(self, v: int, pred: Callable) -> bool:
         """Does any local neighbour of v satisfy the public predicate?
 
         The lazy-predicate form of :meth:`sample_hits_vertex`: one
-        Theorem 3.1 experiment, evaluated in O(d_j(v)) local time.
+        Theorem 3.1 experiment, one vectorised ``pred`` call over the
+        d_j(v) neighbours.
         """
-        return any(pred(u) for u in iter_bits(self._row(v)))
+        return bool(pred(bit_positions(self._row(v))).any())
 
     def any_edge_index_in(self, edge_index: Callable[[Edge], int],
                           pred: Callable[[int], bool]) -> bool:

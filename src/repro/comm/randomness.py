@@ -12,7 +12,23 @@ Determinism contract: two ``SharedRandomness`` instances created with the
 same seed produce identical sample sequences, which is what makes protocol
 runs reproducible end to end.
 
-Two execution paths honour that contract:
+Two kinds of coins honour that contract.
+
+**Counter-based coins** (:meth:`SharedRandomness.permutation_rank`,
+:meth:`SharedRandomness.bernoulli_predicate`) are pure functions of
+``(key, item)``: each factory call derives one 64-bit key from the main
+stream, and an item's coin is the SplitMix64 finaliser (Steele, Lea &
+Flood, OOPSLA 2014) applied to ``key ^ item``.  Nothing is seeded per
+item, so a player evaluates any subset of a huge universe in time
+proportional to that subset.  The returned callable takes either one
+``int`` or an integer ``numpy`` array; both run the same mixer code
+(:func:`_mix64`), on a Python int or elementwise on ``uint64`` words, so
+a player ranking its whole candidate set in one array call agrees bit
+for bit with a coordinator ranking a single item.
+
+**Stream draws** (subsets, samples, shuffles) seed a ``random.Random``
+sub-stream from the main stream, once per call.  Subset draws have two
+execution paths:
 
 * the **scalar** reference path draws one index at a time from
   ``random.Random`` (the historical implementation, always available);
@@ -23,6 +39,9 @@ Two execution paths honour that contract:
   for element, so masks are byte-identical; the path is taken
   automatically for draws big enough to amortize the state transplant.
 
+Every factory and draw advances the main stream by the same amount, so
+the two kinds interleave without perturbing one another.
+
 :meth:`SharedRandomness.batch` is the batched construction the trial
 runtime uses: one call yields every trial's coin stream for a grid
 point, each stream provably identical to ``SharedRandomness(seed)``.
@@ -31,6 +50,7 @@ point, each stream provably identical to ``SharedRandomness(seed)``.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from typing import Iterable, Iterator, Sequence
 
@@ -48,6 +68,29 @@ _VECTOR_MIN_EXPECTED = 128
 # A large prime used to build per-call independent sub-streams from
 # (seed, tag) pairs without materializing n! permutations.
 _MIX_PRIME = 0x9E3779B97F4A7C15
+
+_WORD_MASK = (1 << 64) - 1
+
+#: Multipliers of the SplitMix64 finaliser (Stafford's "Mix13").
+_MIX_C1 = 0xBF58476D1CE4E5B9
+_MIX_C2 = 0x94D049BB133111EB
+
+#: Largest universe a rank accepts: items must fit an int64 array.
+_MAX_UNIVERSE = 1 << 63
+
+
+def _mix64(z):
+    """The SplitMix64 finaliser: a bijection on 64-bit words.
+
+    ``z`` is a Python int in ``[0, 2^64)`` or a ``uint64`` array; the
+    same operators evaluate both (array products wrap modulo 2^64, and
+    the ``& _WORD_MASK`` does the same for ints), so the scalar and the
+    array coin of an item are equal by construction.  Each step —
+    xor-shift, odd multiply — is invertible, hence so is the whole map.
+    """
+    z = (z ^ (z >> 30)) * _MIX_C1 & _WORD_MASK
+    z = (z ^ (z >> 27)) * _MIX_C2 & _WORD_MASK
+    return z ^ (z >> 31)
 
 
 def _mask_from_indices(indices: Iterable[int], universe_size: int) -> int:
@@ -224,30 +267,60 @@ class SharedRandomness:
     def permutation_rank(self, universe_size: int, tag: int = 0):
         """A uniformly random total order over ``range(universe_size)``.
 
-        Returns a callable ``rank(item) -> float`` such that comparing ranks
-        realizes a uniformly random permutation (ties have probability zero
-        for practical purposes, and are broken by item id for determinism).
-        Every player evaluates the *same* function, so "the first element of
-        my set under the public permutation" is consistent across players —
-        exactly the trick Algorithm 1 (SampleUniformFromB~i) relies on.
+        Returns a callable ``rank(item)`` such that comparing ranks
+        realizes a uniformly random permutation.  Every player evaluates
+        the *same* function, so "the first element of my set under the
+        public permutation" is consistent across players — exactly the
+        trick Algorithm 1 (SampleUniformFromB~i) relies on.
 
-        A lazy hash-based construction is used instead of materializing the
-        permutation, so ranking a handful of elements of a huge universe is
-        cheap.
+        The rank of ``item`` is the 64-bit counter-based coin
+        ``_mix64(key ^ item)``, with ``key`` drawn once per call.  Since
+        ``item -> key ^ item`` and the mixer are both bijections on
+        64-bit words, distinct items always get distinct ranks: no
+        tie-break is needed, and the rank is a plain ``int``.
+
+        ``rank`` accepts an ``int`` (returns an ``int``) or an integer
+        ``numpy`` array (returns a ``uint64`` array of the same shape,
+        equal elementwise to the scalar ranks), so a player ranks its
+        whole candidate set with one call and an ``argmin``.  Any item
+        outside the universe raises ``ValueError``, in either form.
         """
-        base = (self._seed * _MIX_PRIME + (tag << 17) + self._next_nonce()) & (
-            2**63 - 1
-        )
+        if not 0 <= universe_size <= _MAX_UNIVERSE:
+            raise ValueError(
+                f"universe size must be in [0, 2^63], got {universe_size}"
+            )
+        key = self._coin_key(tag << 17)
 
-        def rank(item: int) -> tuple[float, int]:
+        def rank(item):
+            if isinstance(item, _np.ndarray):
+                # Negative int64 items wrap above 2^63, past any universe.
+                words = item.astype(_np.uint64)
+                outside = words >= universe_size
+                if outside.any():
+                    raise ValueError(
+                        f"item {item[outside][0]} outside universe of "
+                        f"size {universe_size}"
+                    )
+                return _mix64(words ^ key)
+            item = operator.index(item)
             if not 0 <= item < universe_size:
                 raise ValueError(
                     f"item {item} outside universe of size {universe_size}"
                 )
-            local = random.Random((base * _MIX_PRIME + item) & (2**63 - 1))
-            return (local.random(), item)
+            return _mix64(key ^ item)
 
         return rank
+
+    def _coin_key(self, salt: int) -> int:
+        """The 64-bit key of one counter-based coin family.
+
+        Consumes one nonce from the main stream, like every other
+        primitive, so the draws that follow keep their values.
+        """
+        return _mix64(
+            (self._seed * _MIX_PRIME + salt + self._next_nonce())
+            & (2**63 - 1)
+        )
 
     def _bernoulli_local(self, probability: float, tag: int) -> random.Random:
         """Main-stream draws (one draw + nonce) behind both subset forms.
@@ -309,22 +382,31 @@ class SharedRandomness:
     def bernoulli_predicate(self, probability: float, tag: int = 0):
         """A public iid-Bernoulli(p) membership predicate over the integers.
 
-        Returns ``pred(item) -> bool`` deciding whether ``item`` belongs to
-        the public random sample, *without* materializing the sample.  All
+        Returns ``pred(item)`` deciding whether ``item`` belongs to the
+        public random sample, *without* materializing the sample.  All
         parties evaluating the predicate agree, so a player can check only
         the elements it cares about (e.g. its own incident edges in the
         Theorem 3.1 degree-approximation experiments) in time proportional
         to its own input — the trick that keeps public sampling free.
+
+        An item is in the sample when the top 53 bits of its
+        counter-based coin ``_mix64(key ^ item)``, read as ``u`` in
+        ``[0, 1)``, fall below ``p``; the comparison is done on integers
+        against ``ceil(p * 2^53)``, so ``p = 0`` and ``p = 1`` are exact.
+        ``pred`` accepts an ``int`` (returns a ``bool``) or an integer
+        ``numpy`` array (returns a boolean array); items are taken
+        modulo 2^64.
         """
         if not 0.0 <= probability <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {probability}")
-        base = (self._seed * _MIX_PRIME + (tag << 19) + self._next_nonce()) & (
-            2**63 - 1
-        )
+        key = self._coin_key(tag << 19)
+        threshold = math.ceil(probability * 2.0**53)
 
-        def pred(item: int) -> bool:
-            local = random.Random((base * _MIX_PRIME + item) & (2**63 - 1))
-            return local.random() < probability
+        def pred(item):
+            if isinstance(item, _np.ndarray):
+                return _mix64(item.astype(_np.uint64) ^ key) >> 11 < threshold
+            return _mix64((key ^ operator.index(item)) & _WORD_MASK) >> 11 \
+                < threshold
 
         return pred
 

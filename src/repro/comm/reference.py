@@ -17,6 +17,9 @@ methods, :meth:`sorted_edges`) the rebuilt protocols call, computed the
 slow way — masks are expanded to vertex sets, the original set algorithms
 run, and results are order-normalized to the kernel's ascending canonical
 order — so every protocol entry point runs unmodified on either backend.
+Its ranked minima and predicate harvests call the public coins one item
+at a time: the scalar oracle for :class:`~repro.comm.players.Player`'s
+one-call vectorised forms.
 A differential run swaps the entry point's module-level ``make_players``
 binding for :func:`make_set_players` (``monkeypatch.setattr`` in the
 tests, ``unittest.mock.patch.object`` in the bench).
@@ -122,10 +125,10 @@ class SetPlayer:
     # Permutation-ranked minima (Algorithm 1 and the §3.1 primitives)
     # ------------------------------------------------------------------
     def first_vertex_under_rank(self, candidates: Iterable[int],
-                                rank: Callable[[int], tuple]) -> int | None:
+                                rank: Callable[[int], int]) -> int | None:
         """Lowest-ranked vertex among ``candidates`` (public order)."""
         best: int | None = None
-        best_rank: tuple | None = None
+        best_rank: int | None = None
         for v in candidates:
             r = rank(v)
             if best_rank is None or r < best_rank:
@@ -133,7 +136,7 @@ class SetPlayer:
         return best
 
     def first_incident_edge_under_rank(self, v: int,
-                                       rank: Callable[[int], tuple]
+                                       rank: Callable[[int], int]
                                        ) -> Edge | None:
         """Lowest-ranked edge of E_j incident to v, ranking by far endpoint."""
         best_neighbor = self.first_vertex_under_rank(
@@ -143,11 +146,11 @@ class SetPlayer:
             return None
         return canonical_edge(v, best_neighbor)
 
-    def first_edge_under_rank(self, rank: Callable[[Edge], tuple]
+    def first_edge_under_rank(self, rank: Callable[[Edge], int]
                               ) -> Edge | None:
         """Lowest-ranked edge of E_j under a public order on edges."""
         best: Edge | None = None
-        best_rank: tuple | None = None
+        best_rank: int | None = None
         for edge in self._edges:
             r = rank(edge)
             if best_rank is None or r < best_rank:

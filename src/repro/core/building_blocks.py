@@ -117,7 +117,7 @@ def random_edge(rt: CoordinatorRuntime, tag: int = 0) -> Edge | None:
     universe = rt.n * rt.n
     int_rank = rt.shared.permutation_rank(universe, tag=tag)
 
-    def rank(edge: Edge) -> tuple:
+    def rank(edge: Edge) -> int:
         return int_rank(edge_index(edge, rt.n))
 
     with rt.scope("random_edge"):

@@ -57,7 +57,7 @@ from repro.graphs.buckets import (
     degree_thresholds,
     log2n,
 )
-from repro.graphs.graph import Edge, canonical_edge, iter_bits, mask_of
+from repro.graphs.graph import Edge, bit_positions, canonical_edge, mask_of
 from repro.graphs.partition import EdgePartition
 
 __all__ = ["UnrestrictedParams", "find_triangle_unrestricted"]
@@ -365,12 +365,9 @@ def _sample_edges_and_close(rt: CoordinatorRuntime,
 
 def _capped_star(player: Player, v: int, pred, cap: int) -> list[Edge]:
     """E_j ∩ ({v} × S) truncated to the cap, S given by the predicate."""
-    hits = [
-        canonical_edge(v, u)
-        for u in iter_bits(player.local_neighbor_mask(v))
-        if pred(u)
-    ]
-    return hits[:cap]
+    neighbours = bit_positions(player.local_neighbor_mask(v))
+    hits = neighbours[pred(neighbours)][:cap].tolist()
+    return [canonical_edge(v, u) for u in hits]
 
 
 def _first_edge_within(player: Player, candidate_mask: int) -> Edge | None:

@@ -48,6 +48,7 @@ __all__ = [
     "neighborhood",
     "r_neighborhood_indices",
     "player_suspected_bucket",
+    "suspected_degree_range",
     "DegreeThresholds",
     "degree_thresholds",
 ]
@@ -224,6 +225,17 @@ def r_neighborhood_indices(index: int, r: int, n: int) -> tuple[int, ...]:
     return tuple(range(low, num_buckets(n)))
 
 
+def suspected_degree_range(index: int, k: int) -> tuple[float, int]:
+    """The local-degree window ``[lower, upper]`` of ``B~_i^j``.
+
+    See :func:`player_suspected_bucket`; shared with the array form the
+    mask-native players compute.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return (3 ** max(0, index - 1)) / k, 3 ** index
+
+
 def player_suspected_bucket(view_degrees: dict[int, int], index: int,
                             k: int) -> set[int]:
     """B~_i^j: vertices a player may reasonably suspect are in B_i.
@@ -235,10 +247,7 @@ def player_suspected_bucket(view_degrees: dict[int, int], index: int,
     least deg(v)/k of v's edges, and no player holds more than deg(v).
     (The paper states the same bounds in Section 3.3's shifted indexing.)
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    lower = (3 ** max(0, index - 1)) / k
-    upper = 3 ** index
+    lower, upper = suspected_degree_range(index, k)
     return {
         v for v, deg in view_degrees.items() if lower <= deg <= upper
     }

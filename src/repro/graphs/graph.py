@@ -43,12 +43,13 @@ from typing import Iterable, Iterator
 from repro.graphs.kernels.base import (
     Edge,
     MaskKernel,
+    bit_positions,
     get_kernel,
     iter_bits,
     mask_of,
 )
 
-__all__ = ["Graph", "canonical_edge", "iter_bits", "mask_of"]
+__all__ = ["Graph", "bit_positions", "canonical_edge", "iter_bits", "mask_of"]
 
 
 def canonical_edge(u: int, v: int) -> Edge:

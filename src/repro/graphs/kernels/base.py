@@ -44,6 +44,8 @@ from __future__ import annotations
 import os
 from typing import Iterable, Iterator, Protocol, runtime_checkable
 
+import numpy as np
+
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
@@ -51,6 +53,7 @@ __all__ = [
     "Edge",
     "MaskKernel",
     "iter_bits",
+    "bit_positions",
     "mask_of",
     "get_kernel",
     "register_kernel",
@@ -95,6 +98,23 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def bit_positions(mask: int) -> np.ndarray:
+    """The set-bit positions of ``mask``, ascending, as an int64 array.
+
+    :func:`iter_bits` in one pass: the mask's bytes are unpacked with
+    ``numpy``, so the cost is O(bit_length / 8) C work, not one bignum
+    operation per set bit.
+    """
+    if not mask:
+        return np.empty(0, dtype=np.int64)
+    raw = np.frombuffer(
+        mask.to_bytes((mask.bit_length() + 7) >> 3, "little"), dtype=np.uint8
+    )
+    return np.nonzero(np.unpackbits(raw, bitorder="little"))[0].astype(
+        np.int64, copy=False
+    )
 
 
 def mask_of(vertices: Iterable[int]) -> int:

@@ -47,7 +47,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.graphs.kernels.base import Edge, register_kernel
+from repro.graphs.kernels.base import Edge, bit_positions, register_kernel
 
 __all__ = ["CsrKernel"]
 
@@ -82,18 +82,6 @@ def _mask_from_sorted_indices(indices: np.ndarray) -> int:
     buf = np.zeros((int(idx[-1]) >> 3) + 1, dtype=np.uint8)
     np.bitwise_or.at(buf, idx >> 3, _BIT8[idx & 7])
     return int.from_bytes(buf.tobytes(), "little")
-
-
-def _bits_of_mask(mask: int) -> np.ndarray:
-    """Set-bit positions of a Python-int mask, ascending (int64)."""
-    if not mask:
-        return np.empty(0, dtype=np.int64)
-    raw = np.frombuffer(
-        mask.to_bytes((mask.bit_length() + 7) >> 3, "little"), dtype=np.uint8
-    )
-    return np.nonzero(np.unpackbits(raw, bitorder="little"))[0].astype(
-        np.int64, copy=False
-    )
 
 
 class CsrKernel:
@@ -227,7 +215,7 @@ class CsrKernel:
 
     def merge_row(self, u: int, mask: int) -> int:
         added = 0
-        for v in _bits_of_mask(mask).tolist():
+        for v in bit_positions(mask).tolist():
             added += self.set_edge(u, v)
         return added
 
@@ -345,7 +333,7 @@ class CsrKernel:
         clone = CsrKernel(n)
         if n and self._indices.size:
             selected = np.zeros(n, dtype=bool)
-            selected[_bits_of_mask(vertex_mask)] = True
+            selected[bit_positions(vertex_mask)] = True
             src = np.repeat(
                 np.arange(n, dtype=np.int64), np.diff(self._indptr)
             )
@@ -377,7 +365,7 @@ class CsrKernel:
         parts: list[np.ndarray] = []
         count = 0
         for u, mask in enumerate(rows):
-            bits = _bits_of_mask(mask)
+            bits = bit_positions(mask)
             if bits.size:
                 counts[u + 1] = bits.size
                 parts.append(bits)

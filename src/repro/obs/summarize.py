@@ -4,6 +4,8 @@
 file — or every ``*.jsonl`` in a directory, stitching the per-worker
 sibling files a forked run leaves behind — and prints:
 
+- the run's provenance from the trace headers (git sha, core count,
+  numpy version),
 - the run's wall clock (duration of the root span),
 - a per-phase breakdown by span name using **self time** (a span's
   duration minus its children's), which partitions the root span
@@ -31,12 +33,17 @@ def load_trace(path: str | Path) -> list[dict]:
     Unparseable lines (a torn tail from a killed process) are skipped.
     Raises ``ValueError`` if no file carries the trace header.
     """
+    return _read_trace(path)[1]
+
+
+def _read_trace(path: str | Path) -> tuple[list[dict], list[dict]]:
+    """``(headers, span and event records)`` of a trace file or dir."""
     path = Path(path)
     files = sorted(path.glob("*.jsonl")) if path.is_dir() else [path]
     if not files:
         raise ValueError(f"no *.jsonl trace files under {path}")
+    headers: list[dict] = []
     records: list[dict] = []
-    saw_header = False
     for file in files:
         with open(file, encoding="utf-8") as handle:
             for line in handle:
@@ -48,13 +55,13 @@ def load_trace(path: str | Path) -> list[dict]:
                 except ValueError:
                     continue
                 if record.get("trace") == TRACE_MAGIC:
-                    saw_header = True
+                    headers.append(record)
                     continue
                 if record.get("type") in ("span", "event"):
                     records.append(record)
-    if not saw_header:
+    if not headers:
         raise ValueError(f"{path} is not a repro trace (missing header)")
-    return records
+    return headers, records
 
 
 def _phase_rows(spans: list[dict]) -> tuple[list[tuple], float, float]:
@@ -97,7 +104,19 @@ def _counter_block(counters: dict, prefix: str) -> list[tuple[str, float]]:
     return hits
 
 
-def summarize(records: list[dict]) -> str:
+def _provenance_line(headers: list[dict]) -> str:
+    """The headers' provenance fields; a field that differs between
+    files lists every value seen."""
+    parts = []
+    for key in ("git_sha", "cpu_count", "numpy"):
+        seen = dict.fromkeys(header.get(key) for header in headers)
+        parts.append(f"{key}=" + ",".join(
+            "null" if value is None else str(value) for value in seen
+        ))
+    return "Provenance: " + "  ".join(parts)
+
+
+def summarize(records: list[dict], headers: list[dict] = ()) -> str:
     spans = [r for r in records if r["type"] == "span"]
     events = [r for r in records if r["type"] == "event"]
     pids = sorted({r["pid"] for r in records})
@@ -108,6 +127,8 @@ def summarize(records: list[dict]) -> str:
         f"Trace summary: {len(spans)} spans, {len(events)} events, "
         f"{len(pids)} process(es)"
     )
+    if headers:
+        lines.append(_provenance_line(headers))
     if root_dur > 0:
         lines.append(
             f"Run wall clock: {root_dur:.3f}s "
@@ -221,9 +242,9 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return 2
     try:
-        records = load_trace(argv[0])
+        headers, records = _read_trace(argv[0])
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(summarize(records))
+    print(summarize(records, headers))
     return 0

@@ -24,7 +24,10 @@ load plus a ``None`` check.  Nothing in this module reads or seeds a
 random number generator; tracing cannot perturb any record.
 
 File layout: the first line is a header
-``{"trace": "repro-trace-v1", "pid": ..., "start": ...}``.  ``t0``/``t``
+``{"trace": "repro-trace-v1", "pid": ..., "start": ..., "wall": ...,
+"git_sha": ..., "cpu_count": ..., "numpy": ...}``; the last three stamp
+the run's provenance (the commit of the source tree, or ``null`` outside
+a git checkout, the core count, and the numpy version).  ``t0``/``t``
 offsets are seconds since that header's monotonic ``start``, so
 durations are immune to wall-clock steps.  A recorder detects running
 in a forked child (pid change) and transparently reopens a sibling file
@@ -44,6 +47,8 @@ import time
 from pathlib import Path
 from typing import Iterator
 
+import numpy
+
 __all__ = [
     "TraceRecorder",
     "get_recorder",
@@ -54,6 +59,41 @@ __all__ = [
 ]
 
 TRACE_MAGIC = "repro-trace-v1"
+
+
+def _git_sha(root: Path) -> str | None:
+    """The commit checked out at ``root``, read from ``.git`` without
+    running git; ``None`` when ``root`` is not a git checkout."""
+    git = root / ".git"
+    head = git / "HEAD"
+    if not head.is_file():
+        return None
+    ref = head.read_text().strip()
+    if not ref.startswith("ref: "):
+        return ref
+    name = ref[len("ref: "):]
+    loose = git / name
+    if loose.is_file():
+        return loose.read_text().strip()
+    packed = git / "packed-refs"
+    if packed.is_file():
+        for line in packed.read_text().splitlines():
+            if line.endswith(" " + name):
+                return line.split()[0]
+    return None
+
+
+def _provenance() -> dict:
+    """What produced a run: source commit, core count, numpy version.
+
+    The commit is looked up at the root of the source tree this package
+    was imported from (``src/repro/obs`` → three levels up).
+    """
+    return {
+        "git_sha": _git_sha(Path(__file__).resolve().parents[3]),
+        "cpu_count": os.cpu_count(),
+        "numpy": numpy.__version__,
+    }
 
 
 class _SpanHandle:
@@ -116,6 +156,7 @@ class TraceRecorder:
         self._pid = -1  # force open on first write
         self._file: io.TextIOBase | None = None
         self._start = time.monotonic()
+        self._provenance = _provenance()
         self._open_for_pid()
 
     # -- file management -----------------------------------------------
@@ -137,7 +178,8 @@ class TraceRecorder:
         self._pid = pid
         self.path = path
         header = {"trace": TRACE_MAGIC, "pid": pid,
-                  "start": self._start, "wall": time.time()}
+                  "start": self._start, "wall": time.time(),
+                  **self._provenance}
         self._file.write(json.dumps(header, separators=(",", ":")) + "\n")
         self._file.flush()
 

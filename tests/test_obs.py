@@ -15,8 +15,11 @@ self-time partition, the logging bridge, and `InstanceCache.reset`.
 
 import json
 import logging
+import os
 import pickle
+import re
 
+import numpy
 import pytest
 
 import spawn_helpers
@@ -233,6 +236,49 @@ class TestTraceRecorder:
         recorder.close()
         logs = [r for r in load_trace(path) if r["name"] == "log"]
         assert any("certifies only" in r["attrs"]["message"] for r in logs)
+
+
+class TestProvenanceHeader:
+    def test_header_stamps_sha_cores_numpy(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        with TraceRecorder(path) as recorder:
+            with recorder.span("run"):
+                pass
+        header = json.loads(path.read_text().splitlines()[0])
+        assert header["trace"] == obs_trace.TRACE_MAGIC
+        assert header["cpu_count"] == os.cpu_count()
+        assert header["numpy"] == numpy.__version__
+        sha = header["git_sha"]
+        assert sha is None or re.fullmatch(r"[0-9a-f]{40}", sha)
+        # The header stays out of the span/event records.
+        assert [r["name"] for r in load_trace(path)] == ["run"]
+
+    def test_git_sha_reads_loose_packed_and_detached_heads(self, tmp_path):
+        git = tmp_path / ".git"
+        assert obs_trace._git_sha(tmp_path) is None
+        (git / "refs" / "heads").mkdir(parents=True)
+        (git / "HEAD").write_text("ref: refs/heads/main\n")
+        (git / "packed-refs").write_text(
+            "# pack-refs with: peeled\n" + "b" * 40 + " refs/heads/main\n"
+        )
+        assert obs_trace._git_sha(tmp_path) == "b" * 40
+        (git / "refs" / "heads" / "main").write_text("a" * 40 + "\n")
+        assert obs_trace._git_sha(tmp_path) == "a" * 40
+        (git / "HEAD").write_text("c" * 40 + "\n")
+        assert obs_trace._git_sha(tmp_path) == "c" * 40
+
+    def test_summarize_prints_provenance(self, tmp_path, capsys):
+        path = tmp_path / "trace.jsonl"
+        sweep(workers=1, trace=path)
+        assert summarize_main([str(path)]) == 0
+        out = capsys.readouterr().out
+        line = next(
+            line for line in out.splitlines()
+            if line.startswith("Provenance:")
+        )
+        assert f"cpu_count={os.cpu_count()}" in line
+        assert f"numpy={numpy.__version__}" in line
+        assert re.search(r"git_sha=(null|[0-9a-f]{40})\b", line)
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from repro.comm.players import Player, make_players
 from repro.comm.randomness import SharedRandomness
+from repro.graphs.buckets import player_suspected_bucket
 from repro.graphs.generators import gnd
 from repro.graphs.partition import partition_with_duplication
 
@@ -59,6 +60,27 @@ class TestSuspectedBucket:
         assert 0 in p.suspected_bucket(2, k=2)
         # bucket 1 = [1, 3): suspected band [0.5, 3] -> 4 excluded
         assert 0 not in p.suspected_bucket(1, k=2)
+
+    def test_memoised_ascending_and_read_only(self):
+        p = Player(0, 20, [(0, i) for i in range(1, 5)] + [(5, 6)])
+        bucket = p.suspected_bucket(1, k=2)
+        assert bucket.tolist() == list(range(1, 7))  # degrees 1
+        assert p.suspected_bucket(1, k=2) is bucket
+        assert p.suspected_bucket(1, k=3) is not bucket
+        with pytest.raises(ValueError):
+            bucket[0] = 19
+
+    def test_matches_the_dict_definition(self):
+        graph = gnd(80, 6.0, seed=2)
+        for player in make_players(partition_with_duplication(graph, 3)):
+            degrees = {
+                v: player.local_degree(v) for v in range(player.n)
+                if player.local_degree(v)
+            }
+            for index in range(6):
+                for k in (1, 3):
+                    assert set(player.suspected_bucket(index, k).tolist()) \
+                        == player_suspected_bucket(degrees, index, k)
 
 
 class TestRankedMinima:

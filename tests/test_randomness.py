@@ -1,5 +1,9 @@
 """Unit tests for shared public randomness (repro.comm.randomness)."""
 
+import math
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,6 +64,131 @@ class TestPermutationRank:
             rank(10)
         with pytest.raises(ValueError):
             rank(-1)
+
+
+class TestPermutationRankArrays:
+    """A rank call takes an int or an int64 array; both forms agree."""
+
+    def test_array_matches_scalars(self):
+        rank = SharedRandomness(3).permutation_rank(1000, tag=2)
+        items = np.array([0, 999, 17, 512, 17])
+        ranks = rank(items)
+        assert ranks.dtype == np.uint64 and ranks.shape == items.shape
+        assert ranks.tolist() == [rank(int(i)) for i in items]
+        assert all(type(rank(int(i))) is int for i in items)
+        assert rank(np.empty(0, dtype=np.int64)).size == 0
+
+    def test_numpy_integer_scalars_accepted(self):
+        rank = SharedRandomness(3).permutation_rank(1000)
+        assert rank(np.int64(42)) == rank(42)
+
+    @pytest.mark.parametrize("bad", [[3, 10], [-1, 3], [2**40]])
+    def test_out_of_universe_array_rejected(self, bad):
+        rank = SharedRandomness(0).permutation_rank(10)
+        with pytest.raises(ValueError, match="outside universe"):
+            rank(np.array(bad, dtype=np.int64))
+
+    def test_universe_must_fit_int64(self):
+        SharedRandomness(0).permutation_rank(2**63)
+        with pytest.raises(ValueError):
+            SharedRandomness(0).permutation_rank(2**63 + 1)
+
+    def test_main_stream_advances_one_nonce_per_factory(self):
+        """Each coin factory consumes exactly one 48-bit nonce, so every
+        later draw keeps its value."""
+        shared = SharedRandomness(7)
+        shared.permutation_rank(10, tag=1)
+        shared.bernoulli_predicate(0.5, tag=2)
+        reference = random.Random(7)
+        reference.getrandbits(48)
+        reference.getrandbits(48)
+        assert shared.random() == reference.random()
+
+
+def _chi_square(counts, expected):
+    return sum((c - expected) ** 2 / expected for c in counts)
+
+
+#: Upper 1e-3 quantile of chi-square with 19 degrees of freedom,
+#: ``scipy.stats.chi2.isf(1e-3, 19)``.
+CHI2_19_CRITICAL_1E3 = 43.8202
+
+
+def _binomial_two_sided_p(hits: int, trials: int, p: float) -> float:
+    """Exact two-sided binomial p-value: the mass of outcomes no more
+    likely than ``hits``."""
+    log_p, log_q = math.log(p), math.log1p(-p)
+    lg = math.lgamma
+
+    def log_pmf(i):
+        return (lg(trials + 1) - lg(i + 1) - lg(trials - i + 1)
+                + i * log_p + (trials - i) * log_q)
+
+    observed = log_pmf(hits) + 1e-9
+    return min(1.0, sum(
+        math.exp(lp) for lp in map(log_pmf, range(trials + 1))
+        if lp <= observed
+    ))
+
+
+class TestCoinStatistics:
+    """Distributional checks of the counter-based coins at fixed seeds,
+    each at significance 1e-3."""
+
+    TAGS = 4000
+
+    @pytest.mark.parametrize("items", [
+        list(range(20)),                       # consecutive counters
+        [2**k for k in range(20)],             # one bit each
+        [7 + 4099 * i for i in range(20)],     # spread over the universe
+    ])
+    def test_argmin_winner_uniform(self, items):
+        candidates = np.array(items, dtype=np.int64)
+        shared = SharedRandomness(2024)
+        counts = [0] * len(items)
+        for tag in range(self.TAGS):
+            rank = shared.permutation_rank(2**20, tag=tag)
+            counts[int(np.argmin(rank(candidates)))] += 1
+        statistic = _chi_square(counts, self.TAGS / len(items))
+        assert statistic < CHI2_19_CRITICAL_1E3, counts
+
+    @pytest.mark.parametrize("p", [0.01, 0.25, 0.5])
+    def test_predicate_hit_rate_binomial(self, p):
+        trials = 20_000
+        pred = SharedRandomness(31).bernoulli_predicate(p, tag=3)
+        hits = int(pred(np.arange(trials)).sum())
+        assert _binomial_two_sided_p(hits, trials, p) > 1e-3, hits
+
+    def test_ranks_distinct_over_2_16_universe(self):
+        universe = 2**16
+        for tag in range(3):
+            rank = SharedRandomness(tag).permutation_rank(universe, tag=tag)
+            assert np.unique(rank(np.arange(universe))).size == universe
+
+    def test_scalar_and_array_players_agree(self):
+        """One player calls with scalars, another with an array: same
+        ranks, same predicate bits, same argmin."""
+        items = [5, 900, 33, 4096, 77, 1234]
+        scalar_side, array_side = SharedRandomness(8), SharedRandomness(8)
+        rank_s = scalar_side.permutation_rank(5000, tag=4)
+        rank_a = array_side.permutation_rank(5000, tag=4)
+        pred_s = scalar_side.bernoulli_predicate(0.4, tag=4)
+        pred_a = array_side.bernoulli_predicate(0.4, tag=4)
+        array = np.array(items)
+        assert [rank_s(i) for i in items] == rank_a(array).tolist()
+        assert min(items, key=rank_s) == items[int(np.argmin(rank_a(array)))]
+        assert [pred_s(i) for i in items] == pred_a(array).tolist()
+        assert all(type(pred_s(i)) is bool for i in items)
+
+    def test_predicate_endpoints_exact(self):
+        items = np.arange(-50, 5000)
+        assert SharedRandomness(1).bernoulli_predicate(1.0)(items).all()
+        assert not SharedRandomness(1).bernoulli_predicate(0.0)(items).any()
+
+    def test_predicate_negative_items_agree(self):
+        pred = SharedRandomness(9).bernoulli_predicate(0.5)
+        items = np.arange(-300, 300)
+        assert pred(items).tolist() == [pred(int(i)) for i in items]
 
 
 class TestBernoulliSubset:
