@@ -64,8 +64,8 @@ SWEEP_SEED = 7
 PARAMS = SimLowParams(epsilon=0.2, delta=0.2)
 
 
-def sim_low_protocol(partition, seed, *, shared=None):
-    return find_triangle_sim_low(partition, PARAMS, seed=seed, shared=shared)
+def sim_low_protocol(partition, seed):
+    return find_triangle_sim_low(partition, PARAMS, seed=seed)
 
 
 def _timed(fn):

@@ -48,7 +48,6 @@ from timing_helpers import best_of, quiet_generator_shortfall
 from repro.analysis.experiments import DefaultInstanceBuilder, run_sweep
 from repro.core.simultaneous_low import SimLowParams, find_triangle_sim_low
 from repro.obs import metrics as obs_metrics
-from repro.obs import profile as obs_profile
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry
 
@@ -66,8 +65,8 @@ REPEATS = 5
 PARAMS = SimLowParams(epsilon=0.2, delta=0.2)
 
 
-def sim_low_protocol(partition, seed, *, shared=None):
-    return find_triangle_sim_low(partition, PARAMS, seed=seed, shared=shared)
+def sim_low_protocol(partition, seed):
+    return find_triangle_sim_low(partition, PARAMS, seed=seed)
 
 
 @contextlib.contextmanager
@@ -80,7 +79,6 @@ def stubbed_obs():
     """
     null_span = obs_trace._NULL_SPAN
     null_timer = obs_metrics._NULL_TIMER
-    null_phase = obs_profile._NULL_PHASE
     saved = [
         (obs_trace, "span", obs_trace.span),
         (obs_trace, "event", obs_trace.event),
@@ -88,8 +86,6 @@ def stubbed_obs():
         (obs_metrics, "gauge", obs_metrics.gauge),
         (obs_metrics, "observe", obs_metrics.observe),
         (obs_metrics, "timer", obs_metrics.timer),
-        (obs_profile, "phase", obs_profile.phase),
-        (obs_profile, "charge", obs_profile.charge),
     ]
     obs_trace.span = lambda name, **attrs: null_span
     obs_trace.event = lambda name, **attrs: None
@@ -97,8 +93,6 @@ def stubbed_obs():
     obs_metrics.gauge = lambda name, value: None
     obs_metrics.observe = lambda name, seconds: None
     obs_metrics.timer = lambda name: null_timer
-    obs_profile.phase = lambda name: null_phase
-    obs_profile.charge = lambda name, seconds: None
     try:
         yield
     finally:
@@ -106,11 +100,19 @@ def stubbed_obs():
             setattr(module, name, original)
 
 
-def _sweep(n: int, **kwargs):
-    return run_sweep(
-        sim_low_protocol, DefaultInstanceBuilder(epsilon=0.2, k=K),
-        [(n, D, K)], trials=TRIALS, seed=SWEEP_SEED, workers=1, **kwargs,
-    )
+def _sweep(n: int, trace: Path | None = None,
+           metrics: MetricsRegistry | None = None):
+    """The reference sweep, with observability installed around it."""
+    with contextlib.ExitStack() as stack:
+        if trace is not None:
+            recorder = stack.enter_context(obs_trace.TraceRecorder(trace))
+            stack.enter_context(obs_trace.use_recorder(recorder))
+        if metrics is not None:
+            stack.enter_context(obs_metrics.use_metrics(metrics))
+        return run_sweep(
+            sim_low_protocol, DefaultInstanceBuilder(epsilon=0.2, k=K),
+            [(n, D, K)], trials=TRIALS, seed=SWEEP_SEED, workers=1,
+        )
 
 
 def _row(n: int, repeats: int) -> dict:

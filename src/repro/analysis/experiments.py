@@ -12,16 +12,17 @@ the ``REPRO_WORKERS`` env var) runs them, and the per-trial
 :class:`~repro.runtime.spec.TrialResult` records are aggregated into
 :class:`SweepPoint`s.  Serial and parallel runs of the same sweep seed
 produce identical records.
+
+Tracing and metrics are installed around a sweep with
+:func:`repro.obs.use_recorder` / :func:`repro.obs.use_metrics`; neither
+reads an RNG, so they never change a record.
 """
 
 from __future__ import annotations
 
-import contextlib
 import logging
-import os
 import statistics
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.core.results import DetectionResult
@@ -29,7 +30,6 @@ from repro.graphs.generators import far_instance
 from repro.graphs.partition import EdgePartition, partition_disjoint
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.obs.metrics import MetricsRegistry
 from repro.runtime import (
     Executor,
     InstanceCache,
@@ -153,23 +153,6 @@ def _aggregate(grid: Sequence[tuple[int, float, int]], trials: int,
     return result
 
 
-def _resolve_trace(trace) -> tuple[obs_trace.TraceRecorder | None, bool]:
-    """(recorder, owns_it) for the ``trace=`` argument.
-
-    A recorder object is used as-is (the caller closes it); a path opens
-    a fresh recorder for the duration of the sweep (a directory path
-    gets a ``trace.jsonl`` inside it).
-    """
-    if trace is None:
-        return None, False
-    if isinstance(trace, obs_trace.TraceRecorder):
-        return trace, False
-    path = Path(trace)
-    if path.is_dir():
-        path = path / "trace.jsonl"
-    return obs_trace.TraceRecorder(path), True
-
-
 def run_sweep(protocol: ProtocolFn, instance_fn: InstanceFn,
               grid: Sequence[tuple[int, float, int]],
               trials: int = 3, seed: int = 0, *,
@@ -179,17 +162,16 @@ def run_sweep(protocol: ProtocolFn, instance_fn: InstanceFn,
               instance_key: str | None = None,
               metrics=None,
               batch: bool = True,
-              shared_instances: bool = False,
               retry=None,
               journal=None,
               resume: bool = False,
-              fault_plan=None,
-              trace: "obs_trace.TraceRecorder | str | os.PathLike | None" = None,
-              profile: bool = False) -> SweepResult:
+              fault_plan=None) -> SweepResult:
     """Run ``protocol`` at every (n, d, k) grid point, ``trials`` seeds each.
 
     ``instance_fn(n, d, seed)`` must honour k itself (close over it); the
-    k recorded in the point is taken from the grid.
+    k recorded in the point is taken from the grid.  Every trial runs
+    ``protocol(instance, seed)`` on a fresh instance built from its own
+    seed.
 
     Keyword knobs (all optional, defaults reproduce the serial harness):
 
@@ -205,35 +187,12 @@ def run_sweep(protocol: ProtocolFn, instance_fn: InstanceFn,
         :class:`~repro.runtime.cache.InstanceCache` and the same key to
         every sweep comparing protocols on the same construction.
     metrics:
-        Two shapes, told apart by type.  A *callable*
-        ``(spec, instance, outcome) -> dict`` is the per-trial hook:
-        its result is recorded into
-        ``SweepResult.records[...].extras``.  A
-        :class:`~repro.obs.metrics.MetricsRegistry` instead installs
-        that registry for the duration of the sweep — runtime counters,
-        cache traffic, kernel selections, and timing histograms
-        accumulate into it (merged across workers), and the records are
-        untouched.
-    trace:
-        A :class:`~repro.obs.trace.TraceRecorder`, or a path one is
-        opened at (and closed again) for the duration of the sweep.
-        Structured span/event JSONL covering the whole run — feed the
-        file to ``python -m repro.obs summarize``.  Zero RNG impact;
-        records are byte-identical with tracing on or off.
-    profile:
-        ``True`` attaches a per-trial phase cost breakdown to
-        ``records[...].extras["profile"]`` — opt-in because it changes
-        the record (see :mod:`repro.obs.profile`).
+        The per-trial hook ``(spec, instance, outcome) -> dict``; its
+        result is recorded into ``SweepResult.records[...].extras``.
     batch:
-        ``True`` (default) runs each grid point as one batch — instances
-        built once per batch, coins from one batched construction.
+        ``True`` (default) runs each grid point as one unit of work;
         ``False`` runs every trial as a batch of one, kept as the
         differential reference.  Records are identical either way.
-    shared_instances:
-        ``True`` runs all of a grid point's trials against *one*
-        instance (fresh coins per trial) instead of a fresh instance per
-        trial — a different, much cheaper experiment.  Off by default;
-        records match earlier releases only when off.
     retry / journal / resume / fault_plan:
         The fault-tolerance seams, passed straight through to
         :func:`repro.runtime.executor.run_trials`: a
@@ -247,48 +206,42 @@ def run_sweep(protocol: ProtocolFn, instance_fn: InstanceFn,
         fault injection.  Any of them gives the execution engine a
         retry policy (error capture, watchdog, retry, journaling); with
         none, a trial exception propagates with its original type.
+
+    Observability is installed around the call, never passed in: wrap
+    it in :func:`repro.obs.use_recorder` for a span/event trace and
+    :func:`repro.obs.use_metrics` for runtime counters and timings.
+    Neither touches an RNG, so the records are byte-identical either
+    way.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    registry = metrics if isinstance(metrics, MetricsRegistry) else None
-    hook = None if registry is not None else metrics
-    recorder, owns_recorder = _resolve_trace(trace)
-    with contextlib.ExitStack() as stack:
-        if recorder is not None:
-            if owns_recorder:
-                stack.callback(recorder.close)
-            stack.enter_context(obs_trace.use_recorder(recorder))
-        if registry is not None:
-            stack.enter_context(obs_metrics.use_metrics(registry))
-        with obs_trace.span("sweep", points=len(grid), trials=trials,
-                            seed=seed, batch=batch):
-            specs = build_specs(grid, trials, seed,
-                                shared_instances=shared_instances)
-            records = run_trials(
-                protocol, instance_fn, specs,
-                workers=workers, executor=executor,
-                cache=cache, instance_key=instance_key, metrics=hook,
-                batch=batch,
-                retry=retry, journal=journal, resume=resume,
-                fault_plan=fault_plan, profile=profile,
-            )
-        # ``cache.stats()`` sizes every cached instance: compute it only
-        # for a reader, and at most once.
-        active = obs_metrics.get_metrics()
-        if cache is not None and (
-                active is not None or _LOGGER.isEnabledFor(logging.DEBUG)):
-            stats = cache.stats()
-            _LOGGER.debug(
-                "run_sweep cache stats (instance_key=%r): %s",
-                instance_key, stats,
-            )
-            if active is not None:
-                active.gauge("cache.entries", stats["entries"])
-                active.gauge("cache.instance_bytes", stats["instance_bytes"])
-        # Stamp the merged registry into the trace so `summarize` can
-        # report cache effectiveness and backend mix from one file.
+    with obs_trace.span("sweep", points=len(grid), trials=trials,
+                        seed=seed, batch=batch):
+        records = run_trials(
+            protocol, instance_fn, build_specs(grid, trials, seed),
+            workers=workers, executor=executor,
+            cache=cache, instance_key=instance_key, metrics=metrics,
+            batch=batch,
+            retry=retry, journal=journal, resume=resume,
+            fault_plan=fault_plan,
+        )
+    # ``cache.stats()`` sizes every cached instance: compute it only
+    # for a reader, and at most once.
+    active = obs_metrics.get_metrics()
+    if cache is not None and (
+            active is not None or _LOGGER.isEnabledFor(logging.DEBUG)):
+        stats = cache.stats()
+        _LOGGER.debug(
+            "run_sweep cache stats (instance_key=%r): %s",
+            instance_key, stats,
+        )
         if active is not None:
-            obs_trace.event("metrics", snapshot=active.snapshot())
+            active.gauge("cache.entries", stats["entries"])
+            active.gauge("cache.instance_bytes", stats["instance_bytes"])
+    # Stamp the merged registry into the trace so `summarize` can
+    # report cache effectiveness and backend mix from one file.
+    if active is not None:
+        obs_trace.event("metrics", snapshot=active.snapshot())
     failed = sum(1 for r in records if not r.ok)
     if failed:
         _LOGGER.warning(

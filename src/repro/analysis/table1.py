@@ -25,7 +25,9 @@ protocols on the same construction reuse instances).  Every trial loop
 — the sweeps and the construction-shaped T1-R3 / T1-R6 loops alike —
 runs on the runtime executor path, batched per grid point; rows whose
 measurement has no trial axis accept both knobs for harness uniformity
-and run serially.  Records are independent of ``workers``.
+and run serially.  Records are independent of ``workers``.  Each
+swept protocol is called as ``protocol(instance, seed)`` on a fresh
+instance per trial and builds its public coins from that seed.
 
 Rows additionally accept ``journal_dir=`` and ``resume=``: with a
 journal directory every sweep durably records its completed trials to a
@@ -34,6 +36,10 @@ share a journal), and ``resume=True`` skips trials a previous —
 possibly interrupted — run already recorded, yielding records
 byte-identical to an uninterrupted run.  Rows without a trial axis
 accept both for uniformity.
+
+``generate_table1`` runs each row inside a ``row`` trace span named
+after the row function; with the ``batch`` spans' ``n``/``d``/``k`` a
+trace alone says which row and grid point a cost belongs to.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from typing import Callable, NamedTuple
 
 from repro.analysis.experiments import run_sweep
 from repro.analysis.scaling import fit_axis
+from repro.obs import trace as obs_trace
 from repro.runtime import InstanceCache, TrialSpec, run_trials, shared_cache
 from repro.comm.simultaneous import SimultaneousRun, run_simultaneous
 from repro.core.degree_approx import DegreeApproxParams
@@ -220,10 +227,9 @@ def row_unrestricted_upper(quick: bool = True, seed: int = 0, *,
         )
         return partition_disjoint(graph, k=k, seed=instance_seed + 1)
 
-    def protocol(partition: EdgePartition, run_seed: int, *, shared=None):
+    def protocol(partition: EdgePartition, run_seed: int):
         return find_triangle_unrestricted(
             partition, tuned_unrestricted_params(k, d), seed=run_seed,
-            shared=shared,
         )
 
     sweep = run_sweep(
@@ -258,9 +264,7 @@ def row_sim_low_upper(quick: bool = True, seed: int = 0, *,
     params = SimLowParams(epsilon=0.2, delta=0.2)
 
     sweep = run_sweep(
-        lambda partition, s, shared=None: find_triangle_sim_low(
-            partition, params, seed=s, shared=shared
-        ),
+        lambda partition, s: find_triangle_sim_low(partition, params, seed=s),
         far_disjoint_instance(epsilon=0.2, k=k), [(n, d, k) for n in ns],
         trials=3, seed=seed,
         workers=workers, cache=cache, instance_key=FAR_DISJOINT_KEY,
@@ -291,9 +295,7 @@ def row_sim_high_upper(quick: bool = True, seed: int = 0, *,
 
     grid = [(n, math.sqrt(n), k) for n in ns]
     sweep = run_sweep(
-        lambda partition, s, shared=None: find_triangle_sim_high(
-            partition, params, seed=s, shared=shared
-        ),
+        lambda partition, s: find_triangle_sim_high(partition, params, seed=s),
         far_disjoint_instance(epsilon=0.2, k=k), grid, trials=3, seed=seed,
         workers=workers, cache=cache, instance_key=FAR_DISJOINT_KEY,
         journal=_sweep_journal(journal_dir, "t1-r2b.jsonl"), resume=resume,
@@ -332,9 +334,8 @@ def row_oblivious(quick: bool = True, seed: int = 0, *,
         if cache is None:  # standalone call: provision a mode-matched cache
             cache = stack.enter_context(shared_cache(workers))
         aware = run_sweep(
-            lambda partition, s, shared=None: find_triangle_sim_low(
+            lambda partition, s: find_triangle_sim_low(
                 partition, SimLowParams(epsilon=0.2, delta=0.2), seed=s,
-                shared=shared,
             ),
             instance, grid, trials=trials, seed=seed,
             workers=workers, cache=cache, instance_key=FAR_DISJOINT_KEY,
@@ -342,9 +343,8 @@ def row_oblivious(quick: bool = True, seed: int = 0, *,
             resume=resume,
         )
         oblivious = run_sweep(
-            lambda partition, s, shared=None: find_triangle_sim_oblivious(
+            lambda partition, s: find_triangle_sim_oblivious(
                 partition, ObliviousParams(epsilon=0.2, delta=0.2), seed=s,
-                shared=shared,
             ),
             instance, grid, trials=trials, seed=seed,
             workers=workers, cache=cache, instance_key=FAR_DISJOINT_KEY,
@@ -436,19 +436,14 @@ class PlantedPatternBuilder:
 
 @dataclass(frozen=True)
 class PatternProtocol:
-    """Picklable ``(partition, seed) -> SubgraphDetectionResult``.
-
-    Declares the ``shared`` seam so the batched engine hands it the
-    trial's pre-built coin stream (draw-identical to the stream it would
-    otherwise derive from ``seed``).
-    """
+    """Picklable ``(partition, seed) -> SubgraphDetectionResult``."""
 
     pattern: SubgraphPattern
     params: SubgraphParams
 
-    def __call__(self, partition: EdgePartition, seed: int, *, shared=None):
+    def __call__(self, partition: EdgePartition, seed: int):
         return find_subgraph_simultaneous(
-            partition, self.pattern, self.params, seed=seed, shared=shared
+            partition, self.pattern, self.params, seed=seed
         )
 
 
@@ -850,6 +845,10 @@ def generate_table1(quick: bool = True, seed: int = 0,
     completed trials (one JSONL file per sweep under the directory);
     ``resume=True`` then lets an interrupted table run pick up where it
     stopped, recomputing nothing that was already recorded.
+
+    Each row runs inside a ``row`` trace span named after its row
+    function, so a trace alone attributes every sweep, batch and trial
+    cost to its row.
     """
     lines = [
         "Table 1 reproduction — paper bound vs measured "
@@ -858,9 +857,9 @@ def generate_table1(quick: bool = True, seed: int = 0,
     ]
     with shared_cache(workers) as cache:
         for row_fn in ALL_ROWS:
-            lines.append(
-                row_fn(quick=quick, seed=seed, workers=workers,
-                       cache=cache, journal_dir=journal_dir,
-                       resume=resume).formatted()
-            )
+            with obs_trace.span("row", row=row_fn.__name__):
+                report = row_fn(quick=quick, seed=seed, workers=workers,
+                                cache=cache, journal_dir=journal_dir,
+                                resume=resume)
+            lines.append(report.formatted())
     return "\n".join(lines)

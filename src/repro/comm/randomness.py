@@ -31,20 +31,21 @@ sub-stream from the main stream, once per call.  Subset draws have two
 execution paths:
 
 * the **scalar** reference path draws one index at a time from
-  ``random.Random`` (the historical implementation, always available);
+  ``random.Random`` (the historical implementation);
 * the **vectorized** path transplants the very same MT19937 state into a
   ``numpy.random.RandomState`` — both generators build 53-bit doubles
   from identical word pairs — and replays the geometric-skipping
   recurrence as array operations.  Selected indices are equal element
-  for element, so masks are byte-identical; the path is taken
-  automatically for draws big enough to amortize the state transplant.
+  for element, so masks are byte-identical.
+
+The path is chosen per draw by size: draws expected to select at least
+``_VECTOR_MIN_EXPECTED`` indices amortize the state transplant and take
+the numpy path, smaller ones take the scalar loop.
 
 Every factory and draw advances the main stream by the same amount, so
-the two kinds interleave without perturbing one another.
-
-:meth:`SharedRandomness.batch` is the batched construction the trial
-runtime uses: one call yields every trial's coin stream for a grid
-point, each stream provably identical to ``SharedRandomness(seed)``.
+the two kinds interleave without perturbing one another.  A protocol
+builds its stream as ``SharedRandomness(seed)`` from the trial seed it
+is called with; nothing else constructs coins for it.
 """
 
 from __future__ import annotations
@@ -204,38 +205,16 @@ class SharedRandomness:
     seed:
         Seed of the public random string.  Protocol executions with equal
         seeds are bitwise identical.
-    vectorized:
-        ``None`` (default) or ``True`` lets big subset draws take the
-        numpy path; ``False`` forces the scalar reference path.  All
-        settings produce identical samples — the knob only trades
-        implementations.
     """
 
-    def __init__(self, seed: int = 0, *, vectorized: bool | None = None) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self._seed = seed
         self._rng = random.Random(seed)
         self._draws = 0
-        self._vectorized = vectorized is None or vectorized
 
     @property
     def seed(self) -> int:
         return self._seed
-
-    @classmethod
-    def batch(cls, seeds: Sequence[int], *,
-              vectorized: bool | None = None) -> list["SharedRandomness"]:
-        """One coin stream per seed — the grid-point batched construction.
-
-        Each returned instance is draw-for-draw identical to
-        ``SharedRandomness(seed)``: a protocol run against stream ``i``
-        produces the same record as a fresh per-trial run with
-        ``seeds[i]``, which is what keeps the batched execution path
-        byte-identical to the per-trial one.  The heavy per-draw work
-        (the geometric-skipping subset recurrence) runs vectorized, so a
-        whole batch's public coins amount to one numpy pass per draw
-        rather than per-element scalar loops.
-        """
-        return [cls(seed, vectorized=vectorized) for seed in seeds]
 
     def fork(self, tag: int) -> "SharedRandomness":
         """An independent public sub-stream labelled by ``tag``.
@@ -366,10 +345,7 @@ class SharedRandomness:
             return 0
         if probability == 1.0:
             return (1 << universe_size) - 1
-        if (
-            self._vectorized
-            and probability * universe_size >= _VECTOR_MIN_EXPECTED
-        ):
+        if probability * universe_size >= _VECTOR_MIN_EXPECTED:
             return _mask_from_index_array(
                 _geometric_indices_array(local, universe_size, probability),
                 universe_size,

@@ -101,8 +101,8 @@ def find_triangle_sim_oblivious(
 ) -> DetectionResult:
     """Run Algorithm 11: simultaneous triangle detection, d unknown.
 
-    ``shared`` injects a pre-built coin stream (the batched engine passes
-    one draw-identical to ``SharedRandomness(seed)``); ``record_messages``
+    ``shared`` overrides the ``SharedRandomness(seed)`` coin stream (the
+    trial engine never passes one); ``record_messages``
     retains the per-message transcript in ``details["transcript"]``.
     """
     params = params or ObliviousParams()

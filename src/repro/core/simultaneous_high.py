@@ -88,8 +88,8 @@ def find_triangle_sim_high(
 ) -> DetectionResult:
     """Run the high-degree simultaneous tester on a partitioned input.
 
-    ``shared`` injects a pre-built coin stream (the batched engine passes
-    one draw-identical to ``SharedRandomness(seed)``); ``record_messages``
+    ``shared`` overrides the ``SharedRandomness(seed)`` coin stream (the
+    trial engine never passes one); ``record_messages``
     retains the per-message transcript in ``details["transcript"]``.
     """
     params = params or SimHighParams()

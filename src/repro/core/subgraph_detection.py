@@ -129,8 +129,8 @@ def find_subgraph_simultaneous(
 ) -> SubgraphDetectionResult:
     """One-shot simultaneous H-detection with one-sided error.
 
-    ``shared`` injects a pre-built coin stream (the batched engine passes
-    one draw-identical to ``SharedRandomness(seed)``); ``record_messages``
+    ``shared`` overrides the ``SharedRandomness(seed)`` coin stream (the
+    trial engine never passes one); ``record_messages``
     retains the per-message transcript in ``details["transcript"]``.
     """
     params = params or SubgraphParams()

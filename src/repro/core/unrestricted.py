@@ -159,8 +159,8 @@ def find_triangle_unrestricted(
     ``1 - delta`` (under the paper's literal sample sizes).
     Expected communication O~(k (nd)^{1/4} + k²).
 
-    ``shared`` injects a pre-built coin stream (the batched engine passes
-    one draw-identical to ``SharedRandomness(seed)``); ``record_messages``
+    ``shared`` overrides the ``SharedRandomness(seed)`` coin stream (the
+    trial engine never passes one); ``record_messages``
     retains the per-message transcript in ``details["transcript"]``.
     """
     params = params or UnrestrictedParams()

@@ -1,18 +1,20 @@
-"""Run-level observability: trace spans, metrics, per-trial profiles.
+"""Run-level observability: trace spans and metrics.
 
-Three layers, all zero-RNG-impact and all off by default:
+Two surfaces, both zero-RNG-impact, both off by default, and both
+installed around a run (never passed into it) with a context manager:
 
 - :mod:`repro.obs.trace` — :class:`TraceRecorder`, structured JSONL
-  span/event records with monotonic durations and parent/child ids.
+  span/event records with monotonic durations and parent/child ids;
+  :func:`use_recorder` installs one.
 - :mod:`repro.obs.metrics` — :class:`MetricsRegistry`, process-local
   counters/gauges/timing histograms with snapshot/merge so parallel
-  workers ship their numbers home.
-- :mod:`repro.obs.profile` — opt-in per-trial phase cost profiles
-  attached to ``TrialResult.extras["profile"]``.
+  workers ship their numbers home; :func:`use_metrics` installs one.
 
-``python -m repro.obs summarize <trace.jsonl|dir>`` renders a run
-report from a recorded trace (phase breakdown, retry/fault counts,
-cache effectiveness, backend/path mix).
+Per-layer cost lives in the trace: ``row`` → ``sweep`` → ``batch``
+(carrying the grid point's ``n``/``d``/``k``) → ``trial`` → ``build`` /
+``protocol`` → ``referee`` spans.  ``python -m repro.obs summarize
+<trace.jsonl|dir>`` renders a run report from a recorded trace (phase
+breakdown, retry/fault counts, cache effectiveness, backend/path mix).
 """
 
 from .metrics import (

@@ -5,9 +5,8 @@ threads, no sockets, no background flushing.  Instrumented code calls
 the module-level helpers (:func:`inc`, :func:`gauge`, :func:`observe`,
 :func:`timer`), which are no-ops costing one global load and a ``None``
 check unless a registry has been installed via :func:`set_metrics` /
-:func:`use_metrics` (or ``run_sweep(metrics=...)``).  Nothing here ever
-touches a random number generator, so enabling metrics cannot perturb
-any record.
+:func:`use_metrics`.  Nothing here ever touches a random number
+generator, so enabling metrics cannot perturb any record.
 
 Cross-process story: registries do not magically span processes.
 Instead :meth:`MetricsRegistry.snapshot` renders the whole registry as

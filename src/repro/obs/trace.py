@@ -16,11 +16,10 @@ file.  Two record types:
     the emitting thread, if any.
 
 As with metrics, the recorder is installed as a module global
-(:func:`set_recorder` / :func:`use_recorder`, or
-``run_sweep(trace=...)``).  When no recorder is installed —
-the default — :func:`span` returns a shared null context manager and
-:func:`event` returns immediately, so instrumentation costs one global
-load plus a ``None`` check.  Nothing in this module reads or seeds a
+(:func:`set_recorder` / :func:`use_recorder`).  When no recorder is
+installed — the default — :func:`span` returns a shared null context
+manager and :func:`event` returns immediately, so instrumentation costs
+one global load plus a ``None`` check.  Nothing in this module reads or seeds a
 random number generator; tracing cannot perturb any record.
 
 File layout: the first line is a header

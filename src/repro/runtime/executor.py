@@ -8,12 +8,14 @@ order.  Parallelism changes wall-clock only, never records — each
 trial's randomness is fully determined by its spec's derived seed, so
 there is no shared RNG state to race on.
 
-The unit of work is always a ``TrialBatch``.  ``run_trials(...,
-batch=True)`` groups the specs by grid point, so each distinct instance
-is built (or cache-fetched) once per batch and the coin streams come
-from one batched construction; ``batch=False`` makes every spec a batch
-of one.  Parallel sharding is by whole batch, so instance reuse never
-crosses a process boundary and the records are byte-identical either
+There is one way to run a trial: build (or cache-fetch) the spec's
+instance, then call ``protocol(instance, spec.seed)``; the protocol
+derives its public coins from that seed itself.  The unit of work is a
+``TrialBatch``: ``run_trials(..., batch=True)`` groups the specs by grid
+point and ``batch=False`` makes every spec a batch of one.  A batch
+keeps no instance alive past its trial (reuse across trials is the
+:class:`~repro.runtime.cache.InstanceCache`'s job), and parallel
+sharding is by whole batch, so the records are byte-identical either
 way.
 
 ``ParallelExecutor`` distributes batches over a ``ProcessPoolExecutor``
@@ -76,9 +78,7 @@ from concurrent.futures import TimeoutError as _FuturesTimeout
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from repro.comm.randomness import SharedRandomness
 from repro.obs import metrics as obs_metrics
-from repro.obs import profile as obs_profile
 from repro.obs import trace as obs_trace
 from repro.runtime.cache import InstanceCache
 from repro.runtime.journal import RunJournal
@@ -167,7 +167,8 @@ class TrialTask:
         serve k-sweeps.
     protocol:
         ``(instance, seed) -> outcome`` where the outcome exposes
-        ``total_bits`` and ``found``.
+        ``total_bits`` and ``found``.  It is always called with exactly
+        those two arguments and derives its public coins from ``seed``.
     cache / instance_key:
         When both are given, instances are memoised under
         ``(instance_key, n, d, k, seed)`` so other tasks with the same
@@ -179,36 +180,23 @@ class TrialTask:
         Optional :class:`~repro.runtime.faults.FaultPlan` consulted by
         the supervised entries only — the deterministic fault-injection
         seam the recovery machinery is tested through.
-    profile:
-        When true, a per-trial phase cost profile (``build`` /
-        ``stream`` / ``protocol`` / ``referee`` seconds) is attached to
-        ``TrialResult.extras["profile"]``.  Opt-in because it changes
-        the record — see :mod:`repro.obs.profile`.
     """
 
     def __init__(self, instance_fn: InstanceFn, protocol: ProtocolFn, *,
                  cache: InstanceCache | None = None,
                  instance_key: str | None = None,
                  metrics: MetricsFn | None = None,
-                 fault_plan: "FaultPlan | None" = None,
-                 profile: bool = False) -> None:
+                 fault_plan: "FaultPlan | None" = None) -> None:
         self.instance_fn = instance_fn
         self.protocol = protocol
         self.cache = cache
         self.instance_key = instance_key
         self.metrics = metrics
         self.fault_plan = fault_plan
-        self.profile = profile
         try:
-            parameters = inspect.signature(instance_fn).parameters
-            self._pass_k = "k" in parameters
+            self._pass_k = "k" in inspect.signature(instance_fn).parameters
         except (TypeError, ValueError):  # builtins / C callables
             self._pass_k = False
-        try:
-            parameters = inspect.signature(protocol).parameters
-            self._pass_shared = "shared" in parameters
-        except (TypeError, ValueError):  # builtins / C callables
-            self._pass_shared = False
 
     def cache_key(self, spec: TrialSpec) -> tuple:
         return (
@@ -229,46 +217,19 @@ class TrialTask:
             )
         return self._build(spec)
 
-    def _run_one(self, spec: TrialSpec,
-                 stream: SharedRandomness | None,
-                 local: dict[tuple, object],
-                 stream_cost: float) -> TrialResult:
-        """One trial against a batch-local instance map."""
-        scope = (
-            obs_profile.profile_scope() if self.profile
-            else contextlib.nullcontext()
+    def _run_one(self, spec: TrialSpec) -> TrialResult:
+        """One trial; its instance is released when the trial returns."""
+        with obs_trace.span("trial", point=spec.point_index,
+                            trial=spec.trial_index, n=spec.n), \
+                obs_metrics.timer("trial.seconds"):
+            with obs_trace.span("build"):
+                instance = self.build_instance(spec)
+            with obs_trace.span("protocol"):
+                outcome = self.protocol(instance, spec.seed)
+        extras = (
+            self.metrics(spec, instance, outcome)
+            if self.metrics is not None else None
         )
-        with scope as profile:
-            with obs_trace.span("trial", point=spec.point_index,
-                                trial=spec.trial_index, n=spec.n), \
-                    obs_metrics.timer("trial.seconds"):
-                if stream_cost:
-                    # This trial's even share of the batch's one stream
-                    # construction.
-                    obs_profile.charge("stream", stream_cost)
-                key = self.cache_key(spec)
-                try:
-                    instance = local[key]
-                except KeyError:
-                    with obs_trace.span("build"), obs_profile.phase("build"):
-                        instance = local[key] = self.build_instance(spec)
-                with obs_trace.span("protocol"), \
-                        obs_profile.phase("protocol"):
-                    if stream is not None:
-                        outcome = self.protocol(instance, spec.seed,
-                                                shared=stream)
-                    else:
-                        outcome = self.protocol(instance, spec.seed)
-            extras = (
-                self.metrics(spec, instance, outcome)
-                if self.metrics is not None else None
-            )
-        if profile is not None:
-            extras = dict(extras) if extras else {}
-            extras["profile"] = {
-                name: round(seconds, 9)
-                for name, seconds in sorted(profile.items())
-            }
         return TrialResult.from_outcome(
             spec,
             bits=outcome.total_bits,
@@ -276,22 +237,9 @@ class TrialTask:
             extras=extras,
         )
 
-    def _batch_streams(self, batch: TrialBatch
-                       ) -> Sequence[SharedRandomness | None]:
-        if self._pass_shared:
-            return SharedRandomness.batch([spec.seed for spec in batch.specs])
-        return [None] * len(batch.specs)
-
     def run_batch(self, batch: TrialBatch) -> list[TrialResult]:
-        """Run one batch's trials against batch-local instances.
+        """Run one batch's trials in spec order.
 
-        Each distinct instance key is built (or cache-fetched) exactly
-        once for the whole batch; with per-trial instance seeds the
-        local map never coalesces anything.  Protocols that declare a
-        ``shared`` keyword receive their coin stream from one batched
-        :meth:`~repro.comm.randomness.SharedRandomness.batch`
-        construction — draw-for-draw identical to the stream they would
-        build internally from the spec seed, so outcomes are unchanged.
         Exceptions escape with their original type.
         """
         return self._run_batch(batch, None)
@@ -303,10 +251,8 @@ class TrialTask:
 
         A failure inside one trial (fault, instance build, protocol,
         metrics hook) yields an error record for that trial only; the
-        batch's other trials still run.  A failure building the batch
-        coin streams fails the whole batch, since no trial can run
-        without coins.  Successful trials produce records identical to
-        :meth:`run_batch`.
+        batch's other trials still run.  Successful trials produce
+        records identical to :meth:`run_batch`.
         """
         return self._run_batch(batch, attempt)
 
@@ -315,31 +261,19 @@ class TrialTask:
         """The loop behind both batch entries; ``attempt=None`` is the
         unsupervised one."""
         attrs = {} if attempt is None else {"attempt": attempt}
+        if batch.specs:
+            # The grid point's coordinates, so a trace alone says which
+            # point a batch's cost belongs to.
+            first = batch.specs[0]
+            attrs.update(n=first.n, d=first.d, k=first.k)
         with obs_trace.span("batch", point=batch.point_index,
                             trials=len(batch.specs), **attrs):
-            try:
-                with obs_trace.span("streams"), \
-                        obs_metrics.timer("batch.stream_seconds"):
-                    started = time.perf_counter()
-                    streams = self._batch_streams(batch)
-                    stream_cost = (
-                        (time.perf_counter() - started)
-                        / max(1, len(batch.specs))
-                        if self.profile else 0.0
-                    )
-            except Exception as error:
-                if attempt is None:
-                    raise
-                return [TrialResult.from_error(s, error) for s in batch.specs]
-            local: dict[tuple, object] = {}
             results: list[TrialResult] = []
-            for spec, stream in zip(batch.specs, streams):
+            for spec in batch.specs:
                 try:
                     if attempt is not None and self.fault_plan is not None:
                         self.fault_plan.apply(spec, attempt)
-                    results.append(
-                        self._run_one(spec, stream, local, stream_cost)
-                    )
+                    results.append(self._run_one(spec))
                 except Exception as error:
                     if attempt is None:
                         raise
@@ -858,13 +792,12 @@ def run_trials(protocol: ProtocolFn, instance_fn: InstanceFn,
                retry: RetryPolicy | None = None,
                journal: RunJournal | str | os.PathLike | None = None,
                resume: bool = False,
-               fault_plan: "FaultPlan | None" = None,
-               profile: bool = False) -> list[TrialResult]:
+               fault_plan: "FaultPlan | None" = None) -> list[TrialResult]:
     """One-call convenience: wrap the callables in a task and execute.
 
     ``batch=True`` runs one :class:`~repro.runtime.spec.TrialBatch` per
-    grid point (instances built once per batch, coins from one batched
-    construction); ``batch=False`` runs every spec as a batch of one.
+    grid point (one unit of work, so one parallel task and one retry
+    unit per point); ``batch=False`` runs every spec as a batch of one.
     Both return the same records in the same (input spec) order.
 
     Fault-tolerance knobs.  With none of them the engine runs without a
@@ -889,16 +822,12 @@ def run_trials(protocol: ProtocolFn, instance_fn: InstanceFn,
         A :class:`~repro.runtime.faults.FaultPlan` injecting
         deterministic failures (raise / hang / kill-worker) into chosen
         trials — the CI seam that proves every recovery path above.
-    profile:
-        Attach a per-trial phase cost profile to
-        ``TrialResult.extras["profile"]`` (opt-in; changes the record —
-        see :mod:`repro.obs.profile`).
     """
     if resume and journal is None:
         raise ValueError("resume=True requires a journal")
     task = TrialTask(instance_fn, protocol, cache=cache,
                      instance_key=instance_key, metrics=metrics,
-                     fault_plan=fault_plan, profile=profile)
+                     fault_plan=fault_plan)
     chosen = executor if executor is not None else default_executor(workers)
     policy = retry
     if policy is None and (journal is not None or fault_plan is not None):

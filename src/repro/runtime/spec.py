@@ -4,7 +4,8 @@
 Specs and results are plain frozen dataclasses of primitives so they
 cross process boundaries cheaply — the heavyweight objects (graphs,
 partitions, protocol closures) never travel; workers rebuild them from
-the spec's seed.
+the spec's seed.  One seed per trial drives both the trial's instance
+and its public coins, so a spec alone determines its record.
 """
 
 from __future__ import annotations
@@ -33,11 +34,10 @@ class TrialSpec:
     spec see the same input instance.
 
     ``instance_seed`` optionally decouples instance generation from the
-    protocol coins: trials of a grid point built with
-    ``build_specs(..., shared_instances=True)`` share one instance seed
-    (so the batched engine builds the point's instance once) while each
-    trial still draws fresh public coins from ``seed``.  ``None`` keeps
-    the historical coupling.
+    protocol coins, for callers that build specs by hand (the one-way
+    protocol curves in :mod:`repro.lowerbounds.oneway_protocols`).
+    ``None`` — what :func:`build_specs` always produces — keeps the
+    historical coupling.
     """
 
     point_index: int
@@ -161,8 +161,7 @@ class TrialBatch:
     """The execution engine's unit of work: all trials of one grid point
     (``batch=True``), or a single trial (``batch=False``).
 
-    A parallel run hands whole batches to workers, so the per-batch
-    instance reuse never crosses a process boundary and records are
+    A parallel run hands whole batches to workers; records are
     byte-identical whichever way the specs were grouped.
     """
 
@@ -174,41 +173,28 @@ class TrialBatch:
 
 
 def build_specs(grid: Sequence[tuple[int, float, int]], trials: int,
-                sweep_seed: int, *,
-                shared_instances: bool = False) -> list[TrialSpec]:
+                sweep_seed: int) -> list[TrialSpec]:
     """Expand an (n, d, k) grid into one spec per (point, trial).
 
     Specs come out in deterministic row-major order — point major, trial
-    minor — which is also the order executors return results in.
-
-    ``shared_instances=True`` gives every trial of a grid point the same
-    instance seed (derived from the point alone, on an independent
-    ``"instance"`` stream) so the whole point runs against one instance;
-    protocol coins stay per-trial.  The default keeps the historical
-    fresh-instance-per-trial behaviour and produces specs identical to
-    earlier releases.
+    minor — which is also the order executors return results in.  Every
+    trial gets its own seed, so every trial runs on a fresh instance
+    with fresh public coins.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    specs: list[TrialSpec] = []
-    for point_index, (n, d, k) in enumerate(grid):
-        instance_seed = (
-            derive_seed(sweep_seed, point_index, 0, stream="instance")
-            if shared_instances else None
+    return [
+        TrialSpec(
+            point_index=point_index,
+            trial_index=trial_index,
+            n=n,
+            d=d,
+            k=k,
+            seed=derive_seed(sweep_seed, point_index, trial_index),
         )
-        for trial_index in range(trials):
-            specs.append(
-                TrialSpec(
-                    point_index=point_index,
-                    trial_index=trial_index,
-                    n=n,
-                    d=d,
-                    k=k,
-                    seed=derive_seed(sweep_seed, point_index, trial_index),
-                    instance_seed=instance_seed,
-                )
-            )
-    return specs
+        for point_index, (n, d, k) in enumerate(grid)
+        for trial_index in range(trials)
+    ]
 
 
 def batch_specs(specs: Sequence[TrialSpec]) -> list[TrialBatch]:

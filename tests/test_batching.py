@@ -3,9 +3,9 @@
 The contract under test: ``run_trials(batch=True)`` (and the batched
 ``run_sweep`` default) produces `TrialResult` records byte-identical to
 the per-trial reference path, across every protocol family and across
-serial/parallel executors; the batched path builds each grid point's
-instance once when instance seeds are shared; and the migrated Table 1
-loops (T1-R3 / T1-R6) match their historical inline implementations.
+serial/parallel executors; the batched path keeps the per-trial cache
+access pattern; and the migrated Table 1 loops (T1-R3 / T1-R6) match
+their historical inline implementations.
 """
 
 import pytest
@@ -59,8 +59,8 @@ def _isolate_workers_env(monkeypatch):
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
 
 
-# Module-level protocol wrappers: picklable, and declaring the `shared`
-# seam so the batched engine hands them pre-built coin streams.
+# Module-level protocol wrappers: picklable, and exposing the entry
+# points' public `shared` keyword for the seam-equivalence test below.
 def sim_low_protocol(partition, seed, *, shared=None):
     return find_triangle_sim_low(
         partition, SimLowParams(epsilon=0.3, delta=0.2), seed=seed,
@@ -138,19 +138,6 @@ class TestBatchSpecs:
         pinned = TrialSpec(0, 0, 10, 2.0, 3, seed=99, instance_seed=7)
         assert pinned.effective_instance_seed == 7
 
-    def test_shared_instances_pins_per_point_seed(self):
-        specs = build_specs(GRID, trials=3, sweep_seed=5,
-                            shared_instances=True)
-        by_point = {}
-        for spec in specs:
-            by_point.setdefault(spec.point_index, set()).add(
-                spec.instance_seed
-            )
-        assert all(len(seeds) == 1 for seeds in by_point.values())
-        assert by_point[0] != by_point[1]
-        # Coin seeds stay per-trial.
-        assert len({s.seed for s in specs}) == len(specs)
-
     def test_default_specs_identical_to_previous_releases(self):
         plain = build_specs(GRID, trials=2, sweep_seed=3)
         assert all(s.instance_seed is None for s in plain)
@@ -182,20 +169,6 @@ class TestBatchedIdentity:
                                       batch=True)
         assert parallel_batched == reference
 
-    def test_shared_instance_specs_identical_across_paths(self):
-        specs = build_specs(GRID, trials=3, sweep_seed=11,
-                            shared_instances=True)
-        builder = DefaultInstanceBuilder(epsilon=0.3, k=3)
-        reference = run_trials(sim_low_protocol, builder, specs,
-                               executor=SerialExecutor())
-        batched = run_trials(sim_low_protocol, builder, specs,
-                             executor=SerialExecutor(), batch=True)
-        parallel = run_trials(sim_low_protocol, builder, specs,
-                              executor=ParallelExecutor(workers=2),
-                              batch=True)
-        assert batched == reference
-        assert parallel == reference
-
     def test_run_sweep_batched_default_matches_reference(self):
         builder = DefaultInstanceBuilder(epsilon=0.3, k=3)
         batched = run_sweep(sim_low_protocol, builder, GRID,
@@ -207,23 +180,6 @@ class TestBatchedIdentity:
 
 
 class TestBatchedCacheSemantics:
-    def test_shared_instances_build_once_per_grid_point(self):
-        """A batched shared-instance sweep touches the cache exactly once
-        per grid point: one miss/build each, zero hits (the batch-local
-        instance map absorbs the repetition axis)."""
-        builder = DefaultInstanceBuilder(epsilon=0.3, k=3)
-        cache = InstanceCache()
-        specs = build_specs(GRID, trials=4, sweep_seed=2,
-                            shared_instances=True)
-        run_trials(sim_low_protocol, builder, specs,
-                   executor=SerialExecutor(), batch=True,
-                   cache=cache, instance_key="batching-test")
-        stats = cache.stats()
-        assert stats["builds"] == len(GRID)
-        assert stats["misses"] == len(GRID)
-        assert stats["hits"] == 0
-        assert stats["build_seconds"] > 0.0
-
     def test_per_trial_seeds_preserve_cache_counts(self):
         """With historical per-trial instance seeds the batched path keeps
         the per-trial cache access pattern (distinct keys, no coalescing),

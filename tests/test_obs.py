@@ -3,9 +3,7 @@
 The load-bearing contract: tracing and metrics never touch a random
 number generator, so `TrialResult` records are byte-identical with
 observability on or off — across serial and parallel executors (fork
-and spawn) and across the batched and per-trial engines.  The per-trial
-*profile* is the one opt-in surface that deliberately changes the
-record, so it lives behind its own flag.
+and spawn) and across the batched and per-trial engines.
 
 Also covered: `MetricsRegistry` snapshot/merge algebra (merge must be
 associative so worker-shipping order cannot change aggregates), trace
@@ -13,6 +11,7 @@ JSONL round-trips through `load_trace`, the `summarize` report's
 self-time partition, the logging bridge, and `InstanceCache.reset`.
 """
 
+import contextlib
 import json
 import logging
 import os
@@ -51,11 +50,19 @@ def _no_leaked_globals():
     assert obs_trace.get_recorder() is None
 
 
-def sweep(**kwargs):
-    return run_sweep(
-        spawn_helpers.spawn_protocol, spawn_helpers.spawn_instance,
-        GRID, trials=2, seed=9, **kwargs,
-    )
+def sweep(*, trace=None, metrics=None, **kwargs):
+    """The reference sweep, with a trace path and/or a registry
+    installed around it through the obs context managers."""
+    with contextlib.ExitStack() as stack:
+        if trace is not None:
+            recorder = stack.enter_context(TraceRecorder(trace))
+            stack.enter_context(obs_trace.use_recorder(recorder))
+        if metrics is not None:
+            stack.enter_context(obs_metrics.use_metrics(metrics))
+        return run_sweep(
+            spawn_helpers.spawn_protocol, spawn_helpers.spawn_instance,
+            GRID, trials=2, seed=9, **kwargs,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -332,24 +339,51 @@ class TestByteIdentity:
 
 
 # ----------------------------------------------------------------------
-class TestProfile:
-    def test_profile_off_by_default(self):
-        result = sweep(workers=1)
-        assert all("profile" not in r.extras for r in result.records)
+class TestTraceAttribution:
+    """A trace alone says which row, grid point and layer a cost is."""
 
-    def test_profile_attaches_phase_breakdown(self):
-        result = sweep(workers=1, profile=True)
-        for record in result.records:
-            profile = record.extras["profile"]
-            assert set(profile) >= {"build", "protocol"}
-            assert all(v >= 0.0 for v in profile.values())
-
-    def test_profile_survives_parallel_executors(self):
-        result = sweep(
-            executor=ParallelExecutor(workers=2, start_method="fork"),
-            profile=True,
+    def test_sim_low_sweep_records_referee_spans(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        sweep(workers=1, trace=path)
+        spans = [r for r in load_trace(path) if r["type"] == "span"]
+        by_id = {span["id"]: span for span in spans}
+        referees = [span for span in spans if span["name"] == "referee"]
+        # One referee call per trial, nested inside that trial's protocol.
+        assert len(referees) == len(GRID) * 2
+        assert all(
+            by_id[span["parent"]]["name"] == "protocol" for span in referees
         )
-        assert all("profile" in r.extras for r in result.records)
+
+    def test_batch_spans_carry_grid_point(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        sweep(workers=1, trace=path)
+        batches = [
+            r["attrs"] for r in load_trace(path)
+            if r["type"] == "span" and r["name"] == "batch"
+        ]
+        assert [(b["point"], b["n"], b["d"], b["k"]) for b in batches] == [
+            (index, n, d, k) for index, (n, d, k) in enumerate(GRID)
+        ]
+
+    def test_generate_table1_opens_one_row_span_per_row(self, tmp_path,
+                                                       monkeypatch):
+        from repro.analysis import table1
+
+        def row_stub_sweep(quick, seed, **kwargs):
+            result = sweep(workers=1)
+            return table1.RowReport("S-1", "stub", "-", "-", None,
+                                    result.points[0].median_bits)
+
+        monkeypatch.setattr(table1, "ALL_ROWS", [row_stub_sweep])
+        path = tmp_path / "trace.jsonl"
+        with TraceRecorder(path) as recorder, \
+                obs_trace.use_recorder(recorder):
+            table1.generate_table1(quick=True, workers=1)
+        spans = [r for r in load_trace(path) if r["type"] == "span"]
+        (row,) = [span for span in spans if span["name"] == "row"]
+        assert row["attrs"] == {"row": "row_stub_sweep"}
+        (sweep_span,) = [span for span in spans if span["name"] == "sweep"]
+        assert sweep_span["parent"] == row["id"]
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.comm import randomness
 from repro.comm.randomness import SharedRandomness
 
 
@@ -261,6 +262,20 @@ class TestSampling:
         assert shared.choice([5, 6, 7]) in (5, 6, 7)
 
 
+class _Pinned(SharedRandomness):
+    """A stream whose mask draws run under a fixed size threshold:
+    ``math.inf`` pins the scalar path, ``0`` the numpy path."""
+
+    def __init__(self, seed: int, threshold: float) -> None:
+        super().__init__(seed)
+        self._threshold = threshold
+
+    def bernoulli_subset_mask(self, *args, **kwargs):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(randomness, "_VECTOR_MIN_EXPECTED", self._threshold)
+            return super().bernoulli_subset_mask(*args, **kwargs)
+
+
 class TestVectorizedEquivalence:
     """The numpy-backed mask path is draw-identical to the scalar one.
 
@@ -273,11 +288,7 @@ class TestVectorizedEquivalence:
     PROBABILITIES = [0.0, 1e-12, 0.001, 0.05, 0.3, 0.9, 0.999999, 1.0]
 
     def _pair(self, seed):
-        pytest.importorskip("numpy")
-        return (
-            SharedRandomness(seed, vectorized=False),
-            SharedRandomness(seed, vectorized=True),
-        )
+        return _Pinned(seed, math.inf), SharedRandomness(seed)
 
     def test_masks_identical_across_representations(self):
         for seed in (0, 1, 17):
@@ -300,22 +311,17 @@ class TestVectorizedEquivalence:
         assert scalar.bernoulli_subset_mask(10**6, p, tag=2) == 0
         assert vector.bernoulli_subset_mask(10**6, p, tag=2) == 0
 
-    def test_forced_vector_path_matches_scalar(self, monkeypatch):
+    def test_forced_vector_path_matches_scalar(self):
         """Below-threshold draws take the scalar branch by default; force
         the vector branch to prove equivalence there too."""
-        import repro.comm.randomness as rnd
-
-        pytest.importorskip("numpy")
         for seed in (0, 3):
-            scalar = SharedRandomness(seed, vectorized=False)
-            monkeypatch.setattr(rnd, "_VECTOR_MIN_EXPECTED", 0)
-            vector = SharedRandomness(seed, vectorized=True)
+            scalar = _Pinned(seed, math.inf)
+            vector = _Pinned(seed, 0)
             for universe in (1, 13, 200):
                 for p in (0.001, 0.4, 0.97):
                     assert scalar.bernoulli_subset_mask(
                         universe, p, tag=7
                     ) == vector.bernoulli_subset_mask(universe, p, tag=7)
-            monkeypatch.undo()
 
     def test_main_stream_order_unaffected(self):
         """Tagged mask draws must not perturb the main stream, whichever
@@ -328,58 +334,6 @@ class TestVectorizedEquivalence:
         assert scalar.random() == vector.random()
         assert a == SharedRandomness(11).random()
 
-
-class TestBatchConstruction:
-    """SharedRandomness.batch(seeds) streams == per-seed construction."""
-
-    def test_batch_matches_individual_streams(self):
-        seeds = [0, 1, 2, 3, 1 << 40]
-        batched = SharedRandomness.batch(seeds)
-        assert len(batched) == len(seeds)
-        for seed, stream in zip(seeds, batched):
-            reference = SharedRandomness(seed)
-            assert stream.bernoulli_subset_mask(
-                500, 0.3, tag=4
-            ) == reference.bernoulli_subset_mask(500, 0.3, tag=4)
-            assert [stream.random() for _ in range(5)] == [
-                reference.random() for _ in range(5)
-            ]
-
-    def test_batch_streams_independent(self):
-        left, right = SharedRandomness.batch([1, 2])
-        assert left.random() != right.random()
-
-    def test_batch_vectorized_flag_propagates(self):
-        pytest.importorskip("numpy")
-        for stream in SharedRandomness.batch([0, 1], vectorized=True):
-            assert stream._vectorized
-
-    def test_empty_batch(self):
-        assert SharedRandomness.batch([]) == []
-
-
-class TestBatchHypothesis:
-    """Hypothesis pin: batch() equals per-seed construction on any seeds."""
-
-    @given(
-        seeds=st.lists(
-            st.integers(min_value=0, max_value=2**63 - 1),
-            min_size=1, max_size=6,
-        ),
-        universe=st.integers(min_value=0, max_value=3000),
-        p=st.floats(min_value=0.0, max_value=1.0,
-                    allow_nan=False, allow_infinity=False),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_batch_draw_equivalence(self, seeds, universe, p):
-        batched = SharedRandomness.batch(seeds)
-        for seed, stream in zip(seeds, batched):
-            reference = SharedRandomness(seed)
-            assert stream.bernoulli_subset_mask(
-                universe, p, tag=1
-            ) == reference.bernoulli_subset_mask(universe, p, tag=1)
-            assert stream.random() == reference.random()
-
     @given(
         seed=st.integers(min_value=0, max_value=2**32),
         universe=st.integers(min_value=1, max_value=5000),
@@ -388,8 +342,8 @@ class TestBatchHypothesis:
     )
     @settings(max_examples=40, deadline=None)
     def test_vectorized_scalar_equivalence(self, seed, universe, p):
-        scalar = SharedRandomness(seed, vectorized=False)
-        vector = SharedRandomness(seed, vectorized=True)
+        scalar = _Pinned(seed, math.inf)
+        vector = SharedRandomness(seed)
         assert scalar.bernoulli_subset_mask(
             universe, p, tag=2
         ) == vector.bernoulli_subset_mask(universe, p, tag=2)

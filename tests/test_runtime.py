@@ -14,6 +14,8 @@ import multiprocessing
 import pickle
 import subprocess
 import sys
+import weakref
+from typing import NamedTuple
 
 import pytest
 
@@ -29,6 +31,7 @@ from repro.runtime import (
     TrialResult,
     TrialSpec,
     TrialTask,
+    batch_specs,
     build_specs,
     default_executor,
     derive_seed,
@@ -455,3 +458,57 @@ class TestTrialTask:
         task = TrialTask(instance, sim_low_protocol)
         spec = TrialSpec(0, 0, 200, 4.0, 4, seed=derive_seed(0, 0, 0))
         assert task.build_instance(spec).k == 4
+
+    def test_protocol_shared_keyword_keeps_its_default(self):
+        """The engine calls ``protocol(instance, seed)`` and nothing
+        more: a protocol that declares a ``shared`` keyword gets the
+        default it declared, whatever that default is."""
+        sentinel = object()
+        seen = []
+
+        def protocol(instance, seed, *, shared=sentinel):
+            seen.append(shared)
+            return Outcome(total_bits=1.0, found=False)
+
+        specs = build_specs(GRID, trials=2, sweep_seed=0)
+        for batch in (False, True):
+            run_trials(protocol, lambda n, d, seed: Instance(seed), specs,
+                       executor=SerialExecutor(), batch=batch)
+        assert len(seen) == 2 * len(specs)
+        assert all(shared is sentinel for shared in seen)
+
+    def test_uncached_batch_releases_each_instance(self):
+        """Without a cache a batch keeps no instance alive past its
+        trial: when trial i runs, trial i-1's instance is gone."""
+        built = []
+        released_before = []
+
+        def build(n, d, seed):
+            instance = Instance(seed)
+            built.append(weakref.ref(instance))
+            return instance
+
+        def protocol(instance, seed):
+            released_before.append(
+                all(ref() is None for ref in built[:-1])
+            )
+            return Outcome(total_bits=1.0, found=False)
+
+        specs = build_specs([(200, 4.0, 3)], trials=4, sweep_seed=0)
+        task = TrialTask(build, protocol)
+        (batch,) = batch_specs(specs)
+        task.run_batch(batch)
+        assert len(built) == 4
+        assert released_before == [True] * 4
+
+
+class Instance:
+    """A weak-referenceable stand-in instance."""
+
+    def __init__(self, seed: int) -> None:
+        self.seed = seed
+
+
+class Outcome(NamedTuple):
+    total_bits: float
+    found: bool
