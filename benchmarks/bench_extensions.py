@@ -25,6 +25,7 @@ from repro.core.subgraph_detection import (
     find_subgraph_simultaneous,
     planted_disjoint_subgraphs,
 )
+from repro.graphs.graph import Graph
 from repro.graphs.partition import partition_disjoint
 
 
@@ -107,7 +108,7 @@ def test_message_passing_equivalence_overhead(benchmark, print_row):
     def sweep():
         factors = []
         for k in ks:
-            players = [Player(j, 10, []) for j in range(k)]
+            players = [Player(j, Graph(10)) for j in range(k)]
             rt = MessagePassingRuntime(players)
             message_bits = 32
             for sender in range(k - 1):

@@ -13,38 +13,37 @@ The methods mirror the local steps of Sections 3.1, 3.3 and 3.4:
 * permutation-ranked minima (Algorithm 1's unbiased sampling trick),
   each one vectorised public-coin call over the candidate array,
 * edge harvesting against publicly sampled vertex sets (Algorithms 4, 7-10),
-* the closing-edge check that finishes the unrestricted protocol
-  ("each player examines its own input ... for an edge that closes a
-  triangle together with some vee").
+  which also closes the unrestricted protocol's triangles (a player
+  harvests its edges among the posted vees' endpoints).
 
-The backend is the same bitset kernel as :class:`~repro.graphs.graph.Graph`
-(PR 2): one adjacency-mask int per vertex, so ``has_edge`` is a
-shift-and-test, ``local_degree`` a popcount, and the harvest methods —
-the protocol hot path — are mask intersections executed word-at-a-time in
-C instead of per-edge Python set work.  The mask-form harvests
-(``edges_within_mask`` and friends) return edges in ascending canonical
-order, which is exactly the ``sorted(...)`` order the protocols previously
-imposed, so messages (and cap truncations) are byte-identical to the
-set-based implementation preserved in :mod:`repro.comm.reference`.
+A player's input is a :class:`~repro.graphs.graph.Graph` on the public
+vertex universe, stored on the host graph's mask kernel: ``has_edge`` and
+``local_degree`` are kernel probes, and the harvest methods — the
+protocol hot path — intersect kernel rows in the Python-int mask exchange
+format, word-at-a-time in C instead of per-edge Python set work.  The
+harvests return edges in ascending canonical order, which is exactly the
+``sorted(...)`` order protocol messages are priced and capped in, so
+messages (and cap truncations) equal the set-based oracle
+:mod:`repro.comm.reference` on every backend.
 
-Players built via :func:`make_players` reuse the per-player adjacency rows
-cached on the :class:`~repro.graphs.partition.EdgePartition`, so repeated
-trials on the same partition never re-shred the edge views.
+Players built via :func:`make_players` wrap the view graphs memoised on
+the :class:`~repro.graphs.partition.EdgePartition`, so repeated trials on
+the same partition never re-shred the edge views.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
 from repro.graphs.buckets import suspected_degree_range
 from repro.graphs.graph import (
     Edge,
+    Graph,
     bit_positions,
     canonical_edge,
     iter_bits,
-    mask_of,
 )
 
 __all__ = ["Player", "make_players"]
@@ -57,44 +56,23 @@ class Player:
     ----------
     player_id:
         Index in ``0 .. k-1``.
-    n:
-        Number of vertices of the (publicly known) vertex universe.
-    edges:
-        The player's private edge view ``E_j``.  Ignored when ``rows`` is
-        given.
-    rows:
-        Optional prebuilt per-vertex adjacency masks (e.g. the cached
+    view:
+        The player's private edge view ``E_j`` as a :class:`Graph` on
+        the publicly known vertex universe.  Treated as read-only and
+        may be shared between Player instances (e.g. the memoised
         :meth:`~repro.graphs.partition.EdgePartition.adjacency_rows`).
-        Treated as read-only and may be shared between Player instances.
-    num_edges:
-        Optional distinct-edge count matching ``rows``; computed lazily
-        from the rows when omitted.  :func:`make_players` passes the view
-        size so per-trial player construction does no popcount pass.
     """
 
     __slots__ = (
-        "player_id", "n", "_rows", "_num_edges", "_edges_cache",
+        "player_id", "n", "view", "_kernel", "_edges_cache",
         "_degree_array", "_bucket_cache",
     )
 
-    def __init__(self, player_id: int, n: int, edges: Iterable[Edge] = (),
-                 *, rows: list[int] | None = None,
-                 num_edges: int | None = None) -> None:
+    def __init__(self, player_id: int, view: Graph) -> None:
         self.player_id = player_id
-        self.n = n
-        if rows is None:
-            rows = [0] * n
-            for u, v in edges:
-                if u == v:
-                    raise ValueError(f"self-loop ({u}, {v}) is not a valid edge")
-                if not (0 <= u < n and 0 <= v < n):
-                    raise ValueError(
-                        f"edge ({u}, {v}) outside the vertex universe [0, {n})"
-                    )
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-        self._rows = rows
-        self._num_edges = num_edges
+        self.n = view.n
+        self.view = view
+        self._kernel = view.kernel
         self._edges_cache: frozenset[Edge] | None = None
         self._degree_array: np.ndarray | None = None
         self._bucket_cache: dict[tuple[int, int], np.ndarray] = {}
@@ -105,28 +83,16 @@ class Player:
     @property
     def edges(self) -> frozenset[Edge]:
         if self._edges_cache is None:
-            self._edges_cache = frozenset(self._iter_edges())
+            self._edges_cache = frozenset(self.view.edges())
         return self._edges_cache
 
     @property
     def num_edges(self) -> int:
-        if self._num_edges is None:
-            self._num_edges = sum(
-                row.bit_count() for row in self._rows
-            ) // 2
-        return self._num_edges
-
-    def _iter_edges(self):
-        for u, row in enumerate(self._rows):
-            upper = row >> (u + 1)
-            while upper:
-                low = upper & -upper
-                yield (u, u + low.bit_length())
-                upper ^= low
+        return self.view.num_edges
 
     def sorted_edges(self) -> list[Edge]:
         """All local edges in ascending canonical order."""
-        return list(self._iter_edges())
+        return list(self.view.edges())
 
     def _row(self, v: int) -> int:
         """Row of ``v``, empty for out-of-universe vertices.
@@ -136,24 +102,23 @@ class Player:
         negative id must not wrap around to vertex ``n + v``.
         """
         if 0 <= v < self.n:
-            return self._rows[v]
+            return self._kernel.row(v)
         return 0
 
     def adjacency_rows(self) -> list[int]:
         """The per-vertex adjacency masks — treat as READ-ONLY."""
-        return self._rows
+        return self.view.adjacency_rows()
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u == v or v < 0:
+        if u == v or not (0 <= u < self.n and 0 <= v < self.n):
             return False
-        return bool(self._row(u) >> v & 1)
+        return self._kernel.has_edge(u, v)
 
     def local_degree(self, v: int) -> int:
         """d_j(v): degree of v in this player's view."""
-        return self._row(v).bit_count()
-
-    def local_neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(iter_bits(self._row(v)))
+        if 0 <= v < self.n:
+            return self._kernel.popcount(v)
+        return 0
 
     def local_neighbor_mask(self, v: int) -> int:
         """N_j(v) as a bitmask — the raw kernel word."""
@@ -161,9 +126,7 @@ class Player:
 
     def average_local_degree(self) -> float:
         """d-bar_j = 2|E_j| / n, the §3.4.3 per-player density estimate."""
-        if self.n == 0:
-            return 0.0
-        return 2.0 * self.num_edges / self.n
+        return self.view.average_degree()
 
     def degree_msb_index(self, v: int) -> int | None:
         """Index of the most significant bit of d_j(v); None if d_j(v)=0.
@@ -171,7 +134,7 @@ class Player:
         Phase one of Theorem 3.1: each player reports only the MSB index,
         costing O(log log d) bits.
         """
-        degree = self._row(v).bit_count()
+        degree = self.local_degree(v)
         if degree == 0:
             return None
         return degree.bit_length() - 1
@@ -180,15 +143,14 @@ class Player:
         """B~_i^j: vertices with 3^(i-1) / k <= d_j(v) <= 3^i.
 
         An ascending, read-only int64 array, ready for one vectorised
-        rank call.  Memoised per ``(index, k)``: the rows are read-only,
+        rank call.  Memoised per ``(index, k)``: the view is read-only,
         so the bucket is a pure function of its arguments.
         """
         bucket = self._bucket_cache.get((index, k))
         if bucket is None:
             if self._degree_array is None:
-                self._degree_array = np.fromiter(
-                    (row.bit_count() for row in self._rows),
-                    dtype=np.int64, count=len(self._rows),
+                self._degree_array = np.asarray(
+                    self._kernel.popcounts(), dtype=np.int64
                 )
             lower, upper = suspected_degree_range(index, k)
             degrees = self._degree_array
@@ -236,7 +198,7 @@ class Player:
         """Lowest-ranked edge of E_j under a public order on edges."""
         best: Edge | None = None
         best_rank: int | None = None
-        for edge in self._iter_edges():
+        for edge in self.view.edges():
             r = rank(edge)
             if best_rank is None or r < best_rank:
                 best, best_rank = edge, r
@@ -247,8 +209,7 @@ class Player:
     #
     # The mask forms are the hot path: one row intersection per sampled
     # vertex, emitted in ascending canonical order (== the ``sorted``
-    # order protocol messages are priced and capped in).  The set forms
-    # keep the original API for callers that still hold Python sets.
+    # order protocol messages are priced and capped in).
     # ------------------------------------------------------------------
     def edges_at_vertex_in_mask(self, v: int, sample_mask: int) -> list[Edge]:
         """E_j ∩ ({v} × S) as a sorted list, S given as a mask."""
@@ -257,30 +218,21 @@ class Player:
             (v, u) if v < u else (u, v) for u in iter_bits(hits)
         ]
 
-    def edges_at_vertex_in_sample(self, v: int, sample: set[int]
-                                  ) -> set[Edge]:
-        """E_j ∩ ({v} × S): Algorithm 4's per-vertex edge sample."""
-        return set(self.edges_at_vertex_in_mask(v, mask_of(sample)))
-
     def edges_within_mask(self, sample_mask: int) -> list[Edge]:
         """E_j ∩ S² as a sorted list: Algorithms 7 and 9's harvest."""
-        rows = self._rows
+        row = self._kernel.row
         found: list[Edge] = []
         remaining = sample_mask
         while remaining:
             low = remaining & -remaining
             remaining ^= low
             u = low.bit_length() - 1
-            partners = (rows[u] & sample_mask) >> (u + 1)
+            partners = (row(u) & sample_mask) >> (u + 1)
             while partners:
                 plow = partners & -partners
                 found.append((u, u + plow.bit_length()))
                 partners ^= plow
         return found
-
-    def edges_within(self, sample: set[int]) -> set[Edge]:
-        """E_j ∩ S²: the induced-subgraph harvest of Algorithms 7 and 9."""
-        return set(self.edges_within_mask(mask_of(sample)))
 
     def edges_touching_both_mask(self, r_mask: int, rs_mask: int
                                  ) -> list[Edge]:
@@ -294,7 +246,7 @@ class Player:
         A pair with both endpoints in R ∩ RS is found from each side;
         the lower endpoint owns it.
         """
-        rows = self._rows
+        row = self._kernel.row
         found: list[Edge] = []
         both = r_mask & rs_mask
         remaining = r_mask
@@ -302,7 +254,7 @@ class Player:
             low = remaining & -remaining
             remaining ^= low
             u = low.bit_length() - 1
-            partners = rows[u] & rs_mask
+            partners = row(u) & rs_mask
             if not partners:
                 continue
             if both >> u & 1:
@@ -317,38 +269,11 @@ class Player:
         found.sort()
         return found
 
-    def edges_touching_both(self, r_sample: set[int], rs_sample: set[int]
-                            ) -> set[Edge]:
-        """Edges with one endpoint in R and the other in R ∪ S (Alg 8/10)."""
-        return set(
-            self.edges_touching_both_mask(
-                mask_of(r_sample), mask_of(rs_sample)
-            )
-        )
-
-    def sample_hits_vertex_mask(self, v: int, sample_mask: int) -> bool:
-        """Mask form of :meth:`sample_hits_vertex`: one ``&`` and a test."""
-        return bool(self._row(v) & sample_mask)
-
-    def sample_hits_vertex(self, v: int, sample: set[int]) -> bool:
-        """Is S ∩ (edges of E_j at v) non-empty?  One Theorem 3.1 experiment.
-
-        ``sample`` is a public set of *potential neighbours* of v; the
-        player answers with a single bit.
-        """
-        row = self._row(v)
-        if not row:
-            return False
-        if len(sample) < row.bit_count():
-            return any(row >> u & 1 for u in sample)
-        return any(u in sample for u in iter_bits(row))
-
     def any_incident_neighbor_in(self, v: int, pred: Callable) -> bool:
         """Does any local neighbour of v satisfy the public predicate?
 
-        The lazy-predicate form of :meth:`sample_hits_vertex`: one
-        Theorem 3.1 experiment, one vectorised ``pred`` call over the
-        d_j(v) neighbours.
+        One Theorem 3.1 experiment (the player answers with a single
+        bit), one vectorised ``pred`` call over the d_j(v) neighbours.
         """
         return bool(pred(bit_positions(self._row(v))).any())
 
@@ -361,51 +286,7 @@ class Player:
         subset of vertex pairs, including estimating the total number of
         edges in the graph").
         """
-        return any(pred(edge_index(edge)) for edge in self._iter_edges())
-
-    # ------------------------------------------------------------------
-    # Triangle closing
-    # ------------------------------------------------------------------
-    def find_closing_edge(self, vees: Iterable[tuple[Edge, Edge]]
-                          ) -> tuple[Edge, Edge, Edge] | None:
-        """Check the local input for an edge closing any posted vee.
-
-        Returns (vee edge 1, vee edge 2, closing edge) or None.  This is
-        the final interactive round of the unrestricted protocol: the
-        coordinator posted candidate vees, each player scans its own input.
-        """
-        for e1, e2 in vees:
-            shared = set(e1) & set(e2)
-            if len(shared) != 1:
-                continue
-            (u,) = set(e1) - shared
-            (w,) = set(e2) - shared
-            if self.has_edge(u, w):
-                return (e1, e2, canonical_edge(u, w))
-        return None
-
-    def find_closing_edge_for_pairs(self, edges: Sequence[Edge]
-                                    ) -> tuple[Edge, Edge, Edge] | None:
-        """Scan all vee-shaped pairs among ``edges`` for a local closer.
-
-        Convenience for protocols that post a bag of edges rather than
-        explicit vees; quadratic in len(edges), used only on small bags.
-        """
-        adjacency: dict[int, set[int]] = {}
-        for u, v in edges:
-            adjacency.setdefault(u, set()).add(v)
-            adjacency.setdefault(v, set()).add(u)
-        for source, neighbours in adjacency.items():
-            ordered = sorted(neighbours)
-            for i, u in enumerate(ordered):
-                for w in ordered[i + 1:]:
-                    if self.has_edge(u, w):
-                        return (
-                            canonical_edge(source, u),
-                            canonical_edge(source, w),
-                            canonical_edge(u, w),
-                        )
-        return None
+        return any(pred(edge_index(edge)) for edge in self.view.edges())
 
     def __repr__(self) -> str:
         return (
@@ -417,27 +298,23 @@ class Player:
 def make_players(partition) -> list[Player]:
     """Build the k Player objects of an :class:`EdgePartition`.
 
-    The player list itself is memoized on the partition (players are
-    read-only views over the partition's cached adjacency rows, and
-    their internal caches memoize pure functions of those rows), so the
-    repetition axis of a batched grid point shares one set of Player
-    objects — repeated trials pay nothing for player construction or row
-    re-shredding.
+    Each player wraps the partition's memoised view graph
+    (:meth:`~repro.graphs.partition.EdgePartition.adjacency_rows`).  The
+    player list itself is memoised on the partition too (players are
+    read-only, and their internal caches memoise pure functions of the
+    view), so the repetition axis of a batched grid point shares one set
+    of Player objects — repeated trials pay nothing for player
+    construction.
     """
     cached = getattr(partition, "_players_cache", None)
     if cached is not None:
         return cached
-    n = partition.graph.n
     players = [
-        Player(
-            j, n, rows=partition.adjacency_rows(j),
-            num_edges=partition.view_edge_count(j),
-        )
-        for j in range(partition.k)
+        Player(j, partition.adjacency_rows(j)) for j in range(partition.k)
     ]
     try:
         # EdgePartition is a frozen dataclass; the same backdoor its own
-        # rows cache uses.  Duck-typed partitions without settable
+        # view cache uses.  Duck-typed partitions without settable
         # attributes simply skip the memo.
         object.__setattr__(partition, "_players_cache", players)
     except (AttributeError, TypeError):

@@ -144,35 +144,14 @@ class BigintKernel:
     def from_edge_array(cls, n: int, us, vs) -> "BigintKernel":
         """Bulk-build from canonical numpy edge arrays.
 
-        Edges group by endpoint after one lexsort; each vertex's row
-        is assembled once in a byte buffer (O(max_neighbour/8)) rather
-        than through per-edge bignum reallocation.  numpy is imported
-        here, not module-wide: this entry point is only reachable from
-        the vectorized generation plane, which already requires it.
+        One ``|=`` per edge direction, the fastest build measured for
+        the sparse hosts and player views this kernel serves.
         """
-        import numpy as np
-
         kernel = cls(n)
-        if len(us) == 0:
-            return kernel
-        src = np.concatenate([us, vs])
-        dst = np.concatenate([vs, us])
-        order = np.lexsort((dst, src))
-        src = src[order]
-        dst = dst[order]
-        boundaries = np.nonzero(np.diff(src))[0] + 1
-        starts = np.concatenate(([0], boundaries))
-        stops = np.concatenate((boundaries, [src.size]))
         rows = kernel._rows
-        for a, b in zip(starts.tolist(), stops.tolist()):
-            neighbours = dst[a:b]
-            buf = np.zeros((int(neighbours[-1]) >> 3) + 1, dtype=np.uint8)
-            np.bitwise_or.at(
-                buf,
-                neighbours >> 3,
-                np.uint8(1) << (neighbours & 7).astype(np.uint8),
-            )
-            rows[int(src[a])] = int.from_bytes(buf.tobytes(), "little")
+        for u, v in zip(us.tolist(), vs.tolist()):
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
         return kernel
 
 

@@ -21,13 +21,20 @@ several regimes the paper analyzes:
   explicitly *not* guaranteed by the model.
 
 Each returns an :class:`EdgePartition` that remembers the ground truth and
-checks the covering invariant (union of views == E) eagerly.
+checks the covering invariant (union of views == E) eagerly, with one
+numpy pass over canonical edge keys whatever the vertex count.  A
+player's view ``E_j`` is itself a :class:`~repro.graphs.graph.Graph` on
+the host's backend (:meth:`EdgePartition.adjacency_rows`), so players
+reuse the host's mask kernel instead of storing a second adjacency.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from repro.graphs.graph import Edge, Graph, canonical_edge
 
@@ -42,11 +49,24 @@ __all__ = [
 ]
 
 
-#: Vertex count past which the covering check runs set-based.  The mask
-#: check allocates an O(n/8)-byte row per vertex — O(n²/8) transient
-#: bytes, ~125 GB at n = 10^6 — while the set comparison is O(m) and
-#: density-independent.  Both report identical errors.
-_SPARSE_CHECK_THRESHOLD = 1 << 17
+def _view_keys(view, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A view's edges as canonical keys ``lo * n + hi``.
+
+    Returns the keys of the in-universe edges and the out-of-universe
+    edges as ``(lo, hi)`` rows, which the covering check counts as
+    spurious.  Self-loops raise like :func:`canonical_edge`.
+    """
+    pairs = np.fromiter(
+        chain.from_iterable(view), dtype=np.int64, count=2 * len(view)
+    ).reshape(-1, 2)
+    lo = pairs.min(axis=1)
+    hi = pairs.max(axis=1)
+    if bool((lo == hi).any()):
+        loop = int(lo[np.argmax(lo == hi)])
+        raise ValueError(f"self-loop ({loop}, {loop}) is not a valid edge")
+    inside = (lo >= 0) & (hi < n)
+    outside = np.stack((lo[~inside], hi[~inside]), axis=1)
+    return lo[inside] * n + hi[inside], outside
 
 
 @dataclass(frozen=True)
@@ -57,54 +77,29 @@ class EdgePartition:
     views: tuple[frozenset[Edge], ...]
 
     def __post_init__(self) -> None:
-        if self.graph.n >= _SPARSE_CHECK_THRESHOLD:
-            self._check_covering_sparse()
-        else:
-            self._check_covering_masks()
-
-    def _check_covering_masks(self) -> None:
-        # Covering invariant via the bitset kernel: OR every view into
-        # per-vertex masks and XOR against the ground truth's adjacency
-        # rows — each mismatched edge shows up as two set bits.
-        union_rows = [0] * self.graph.n
-        out_of_universe: set[Edge] = set()
-        for view in self.views:
-            for u, v in view:
-                u, v = canonical_edge(u, v)
-                if u < 0 or v >= self.graph.n:
-                    out_of_universe.add((u, v))  # spurious by definition
-                    continue
-                union_rows[u] |= 1 << v
-                union_rows[v] |= 1 << u
-        extra = 2 * len(out_of_universe)
-        missing = 0
-        for v, row in enumerate(union_rows):
-            truth_row = self.graph.neighbor_mask(v)
-            missing += (truth_row & ~row).bit_count()
-            extra += (row & ~truth_row).bit_count()
-        if missing or extra:
-            raise ValueError(
-                "partition does not cover the graph exactly: "
-                f"{missing // 2} missing, {extra // 2} spurious edges"
-            )
-
-    def _check_covering_sparse(self) -> None:
-        # Large-n twin of the mask check: O(m) canonical-edge sets, no
-        # per-vertex bignums.  Same invariant, same error wording.
+        # Covering invariant on canonical edge keys: the union of the
+        # views must equal the host's edge set.  Out-of-universe edges
+        # are spurious by definition.
         n = self.graph.n
-        union: set[Edge] = set()
-        spurious = 0
-        seen_out: set[Edge] = set()
+        keys = [np.empty(0, dtype=np.int64)]
+        outside = [np.empty((0, 2), dtype=np.int64)]
         for view in self.views:
-            for u, v in view:
-                edge = canonical_edge(u, v)
-                if edge[0] < 0 or edge[1] >= n:
-                    seen_out.add(edge)
-                else:
-                    union.add(edge)
-        truth = set(self.graph.edges())
-        missing = len(truth - union)
-        spurious = len(union - truth) + len(seen_out)
+            inside_keys, outside_pairs = _view_keys(view, n)
+            keys.append(inside_keys)
+            outside.append(outside_pairs)
+        union = np.unique(np.concatenate(keys))
+        truth = np.fromiter(
+            chain.from_iterable(self.graph.edges()), dtype=np.int64,
+            count=2 * self.graph.num_edges,
+        ).reshape(-1, 2)
+        truth = truth[:, 0] * n + truth[:, 1]
+        covered = int(np.count_nonzero(
+            np.isin(truth, union, assume_unique=True)
+        ))
+        missing = truth.size - covered
+        spurious = union.size - covered + len(
+            np.unique(np.concatenate(outside), axis=0)
+        )
         if missing or spurious:
             raise ValueError(
                 "partition does not cover the graph exactly: "
@@ -115,40 +110,32 @@ class EdgePartition:
     def k(self) -> int:
         return len(self.views)
 
-    def adjacency_rows(self, player: int) -> list[int]:
-        """Player ``player``'s view as per-vertex adjacency masks, cached.
+    def adjacency_rows(self, player: int) -> Graph:
+        """Player ``player``'s view ``E_j`` as a :class:`Graph`, memoised.
 
-        This is the bitset-kernel form of ``views[player]`` (one int per
-        vertex, bit ``v`` of row ``u`` set iff {u, v} ∈ E_j) that
-        :func:`~repro.comm.players.make_players` hands to the mask-native
-        players.  Built once per player and memoized on the partition, so
-        repeated protocol trials on the same partition never re-shred the
-        edge views.  Treat the returned list as READ-ONLY — it is shared
-        by every Player built from this partition.
+        The view lives on the host's backend, so a player harvests
+        through the same mask kernel as the ground truth, and
+        :func:`~repro.comm.players.make_players` wraps it without
+        copying.  Built once per player and memoised on the partition,
+        so repeated protocol trials never re-shred the edge views.
+        Treat the returned graph as READ-ONLY: every Player built from
+        this partition shares it.  The name predates the ``Graph``
+        view and is kept because benchmark traces time this method as
+        the player build.
         """
-        return self._rows_and_count(player)[0]
-
-    def view_edge_count(self, player: int) -> int:
-        """Distinct-edge count of ``views[player]``, cached with the rows."""
-        return self._rows_and_count(player)[1]
-
-    def _rows_and_count(self, player: int) -> tuple[list[int], int]:
-        cache: dict[int, tuple[list[int], int]] | None = getattr(
-            self, "_rows_cache", None
-        )
+        cache: dict[int, Graph] | None = getattr(self, "_views_cache", None)
         if cache is None:
             cache = {}
-            object.__setattr__(self, "_rows_cache", cache)
-        entry = cache.get(player)
-        if entry is None:
-            rows = [0] * self.graph.n
-            for u, v in self.views[player]:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            count = sum(row.bit_count() for row in rows) // 2
-            entry = (rows, count)
-            cache[player] = entry
-        return entry
+            object.__setattr__(self, "_views_cache", cache)
+        view = cache.get(player)
+        if view is None:
+            n = self.graph.n
+            keys, _ = _view_keys(self.views[player], n)
+            view = Graph.from_edge_arrays(
+                n, keys // n, keys % n, backend=self.graph.backend
+            )
+            cache[player] = view
+        return view
 
     @property
     def has_duplication(self) -> bool:
@@ -159,7 +146,8 @@ class EdgePartition:
         return self.views[player]
 
     def multiplicity(self, edge: Edge) -> int:
-        """How many players hold ``edge``."""
+        """How many players hold ``edge``, in either orientation."""
+        edge = canonical_edge(*edge)
         return sum(1 for view in self.views if edge in view)
 
 

@@ -11,8 +11,9 @@ bound family the theorem squeezes:
 * Charlie intersects: any of his edges (v1, v2) with a common u in both
   samples is a certified triangle edge.
 
-Messages are assembled from the partition's cached adjacency rows
-(:meth:`~repro.graphs.partition.EdgePartition.adjacency_rows`): Alice's
+Messages are assembled from the players' view graphs (memoised on the
+partition by :meth:`~repro.graphs.partition.EdgePartition.adjacency_rows`)
+through their mask rows: Alice's
 pool and Bob's reply are row enumerations (ascending canonical order —
 exactly the ``sorted(...)`` order the set-based predecessor imposed, so
 transcripts are byte-identical, including the ``shuffled`` draw
@@ -58,8 +59,8 @@ def oneway_triangle_edge_protocol(sample: MuSample, alice_budget: int,
     if alice_budget < 0:
         raise ValueError(f"budget must be non-negative, got {alice_budget}")
     n = sample.graph.n
-    # Players wrap the partition's cached adjacency rows, so every row
-    # read below is the partition mask itself, built once per sample.
+    # Players wrap the partition's memoised view graphs, so every row
+    # read below comes from a view built once per sample.
     players = make_players(sample.partition)
 
     def conversation(alice, bob, shared: SharedRandomness, transcript):

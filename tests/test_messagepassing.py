@@ -14,10 +14,11 @@ from repro.comm.messagepassing import (
 )
 from repro.comm.players import Player
 from repro.comm.randomness import SharedRandomness
+from repro.graphs.graph import Graph
 
 
 def players(k: int = 4, n: int = 10) -> list[Player]:
-    return [Player(j, n, [(0, j + 1)] if j + 1 < n else []) for j in range(k)]
+    return [Player(j, Graph(n, [(0, j + 1)] if j + 1 < n else [])) for j in range(k)]
 
 
 class TestRecord:

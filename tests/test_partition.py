@@ -48,6 +48,22 @@ class TestCoverageInvariant:
         with pytest.raises(ValueError):
             EdgePartition(graph, (frozenset({(0, 1), (1, 2)}),))
 
+    @pytest.mark.parametrize("backend", ["bigint", "packed", "csr"])
+    def test_error_counts_agree_across_backends(self, backend):
+        graph = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4)], backend=backend)
+        views = (
+            # (3, 4) is missing; (2, 1) is a reversed duplicate.
+            frozenset({(0, 1), (2, 1)}),
+            # (4, 5) is spurious; (5, 9) and (9, 5) are one
+            # out-of-universe edge, which counts as spurious.
+            frozenset({(1, 2), (2, 3), (4, 5), (5, 9)}),
+            frozenset({(9, 5)}),
+        )
+        with pytest.raises(
+            ValueError, match="1 missing, 2 spurious edges"
+        ):
+            EdgePartition(graph, views)
+
 
 class TestDisjoint:
     def test_views_disjoint(self, graph):
@@ -106,6 +122,12 @@ class TestAllToAll:
         partition = partition_all_to_all(graph, 5)
         edge = next(iter(graph.edges()))
         assert partition.multiplicity(edge) == 5
+
+    def test_multiplicity_ignores_orientation(self):
+        partition = partition_all_to_all(Graph(3, [(0, 1), (1, 2)]), 2)
+        assert partition.multiplicity((0, 1)) == 2
+        assert partition.multiplicity((1, 0)) == 2
+        assert partition.multiplicity((2, 0)) == 0
 
 
 class TestSkew:

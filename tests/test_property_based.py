@@ -188,7 +188,7 @@ class TestPartitionProperties:
     def test_player_views_are_subsets(self, graph, k):
         partition = partition_disjoint(graph, k, seed=0)
         players = [
-            Player(j, graph.n, view)
+            Player(j, Graph(graph.n, view))
             for j, view in enumerate(partition.views)
         ]
         for player in players:

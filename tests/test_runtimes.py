@@ -15,14 +15,15 @@ from repro.comm.players import Player, make_players
 from repro.comm.randomness import SharedRandomness
 from repro.comm.simultaneous import run_simultaneous
 from repro.graphs.generators import gnd
+from repro.graphs.graph import Graph
 from repro.graphs.partition import partition_disjoint
 
 
 def three_players() -> list[Player]:
     return [
-        Player(0, 10, [(0, 1), (1, 2)]),
-        Player(1, 10, [(2, 3)]),
-        Player(2, 10, [(4, 5), (5, 6)]),
+        Player(0, Graph(10, [(0, 1), (1, 2)])),
+        Player(1, Graph(10, [(2, 3)])),
+        Player(2, Graph(10, [(4, 5), (5, 6)])),
     ]
 
 
@@ -66,7 +67,7 @@ class TestCoordinatorRuntime:
             CoordinatorRuntime([], SharedRandomness(0))
 
     def test_mismatched_universe_rejected(self):
-        players = [Player(0, 10, []), Player(1, 20, [])]
+        players = [Player(0, Graph(10)), Player(1, Graph(20))]
         with pytest.raises(ValueError):
             CoordinatorRuntime(players)
 
@@ -181,7 +182,7 @@ class TestOneWayChain:
     def test_single_player_rejected(self):
         with pytest.raises(ValueError):
             run_oneway_chain(
-                [Player(0, 5, [])],
+                [Player(0, Graph(5))],
                 initial_state=None,
                 step=lambda p, s, _: s,
                 state_bits=lambda _: 1,
