@@ -137,7 +137,7 @@ class FullDisclosureReferee:
     def __call__(self, partition: EdgePartition,
                  seed: int) -> DetectionResult:
         per_edge = edge_bits(partition.graph.n)
-        shipped = sum(len(view) for view in partition.views)
+        shipped = sum(ids.size for ids in partition.edge_ids)
         triangle = find_triangle(partition.graph)
         cost = CostSummary(
             total_bits=shipped * per_edge,

@@ -28,7 +28,7 @@ messages (and cap truncations) equal the set-based oracle
 
 Players built via :func:`make_players` wrap the view graphs memoised on
 the :class:`~repro.graphs.partition.EdgePartition`, so repeated trials on
-the same partition never re-shred the edge views.
+the same partition never rebuild a view.
 """
 
 from __future__ import annotations

@@ -38,6 +38,7 @@ testing.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator
 
 from repro.graphs.kernels.base import (
@@ -204,7 +205,11 @@ class Graph:
             raise ValueError(f"self-loop ({loop}, {loop}) is not a valid edge")
         lo = np.minimum(us, vs)
         hi = np.maximum(us, vs)
-        keys = np.unique(lo * n + hi)
+        keys = lo * n + hi
+        # Keys that already ascend strictly (a partition's view keys, an
+        # ascending generator pass) skip the O(m log m) sort.
+        if not bool((keys[1:] > keys[:-1]).all()):
+            keys = np.unique(keys)
         return keys // n, keys % n
 
     @classmethod
@@ -342,6 +347,23 @@ class Graph:
     def edges(self) -> Iterator[Edge]:
         """All edges in canonical orientation, ascending."""
         return self._kernel.iter_edges()
+
+    def edge_arrays(self):
+        """:meth:`edges` as two int64 arrays ``(lo, hi)``, ascending.
+
+        Kernels with a native ``edge_arrays`` (csr) slice their stored
+        arrays; the others are read through :meth:`edges`.
+        """
+        native = getattr(self._kernel, "edge_arrays", None)
+        if native is not None:
+            return native()
+        import numpy as np
+
+        pairs = np.fromiter(
+            chain.from_iterable(self._kernel.iter_edges()), dtype=np.int64,
+            count=2 * self._edge_count,
+        ).reshape(-1, 2)
+        return pairs[:, 0], pairs[:, 1]
 
     def edge_set(self) -> set[Edge]:
         """Compatibility wrapper: the edges as a plain set.

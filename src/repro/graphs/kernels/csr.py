@@ -305,15 +305,14 @@ class CsrKernel:
             + overlay * _OVERLAY_ENTRY_BYTES
         )
 
-    def iter_edges(self) -> Iterator[Edge]:
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every edge as canonical int64 ``(lo, hi)`` arrays, ascending."""
         self._compact()
-        indptr = self._indptr
-        indices = self._indices
-        for u in range(self._n):
-            row = indices[indptr[u]:indptr[u + 1]]
-            cut = int(np.searchsorted(row, u + 1))
-            for v in row[cut:].tolist():
-                yield (u, int(v))
+        return self._upper_arrays()
+
+    def iter_edges(self) -> Iterator[Edge]:
+        lo, hi = self.edge_arrays()
+        return zip(lo.tolist(), hi.tolist())
 
     # -- whole-kernel operations ---------------------------------------
     def copy(self) -> "CsrKernel":

@@ -20,19 +20,28 @@ several regimes the paper analyzes:
 * ``partition_by_vertex`` — CONGEST-like vertex locality, as a contrast case
   explicitly *not* guaranteed by the model.
 
-Each returns an :class:`EdgePartition` that remembers the ground truth and
-checks the covering invariant (union of views == E) eagerly, with one
-numpy pass over canonical edge keys whatever the vertex count.  A
-player's view ``E_j`` is itself a :class:`~repro.graphs.graph.Graph` on
-the host's backend (:meth:`EdgePartition.adjacency_rows`), so players
-reuse the host's mask kernel instead of storing a second adjacency.
+Each returns an :class:`EdgePartition`: the host graph plus one sorted
+int64 array of *edge ids* per player, where an id indexes the host's
+canonical edge keys ``lo * n + hi`` in ascending order (the order of
+:meth:`~repro.graphs.graph.Graph.edges`).  The covering invariant (union
+of views == E) is checked eagerly with one ``np.bincount`` over the ids.
+``partition_disjoint`` and ``partition_by_vertex`` draw every owner in
+one numpy pass that replays ``random.Random(seed).randrange(k)`` draw for
+draw (:func:`_randrange_array`), so the instances equal the scalar
+loops'; the other partitioners interleave ``random()`` and ``randrange``
+and keep their scalar loops.  A player's view ``E_j`` is a
+:class:`~repro.graphs.graph.Graph` on the host's backend
+(:meth:`EdgePartition.adjacency_rows`), so players reuse the host's mask
+kernel instead of storing a second adjacency; the frozenset form
+(:attr:`EdgePartition.views`) is built only when asked for.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -47,6 +56,8 @@ __all__ = [
     "partition_concentrate_edges",
     "partition_by_vertex",
 ]
+
+_NO_IDS = np.empty(0, dtype=np.int64)
 
 
 def _view_keys(view, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -69,77 +80,175 @@ def _view_keys(view, n: int) -> tuple[np.ndarray, np.ndarray]:
     return lo[inside] * n + hi[inside], outside
 
 
-@dataclass(frozen=True)
+def _host_keys(graph: Graph) -> np.ndarray:
+    """The host's canonical edge keys ``lo * n + hi``, ascending."""
+    lo, hi = graph.edge_arrays()
+    return lo * graph.n + hi
+
+
 class EdgePartition:
-    """Ground truth graph + the k per-player edge views."""
+    """Ground truth graph + the k players' edge sets as edge-id arrays.
 
-    graph: Graph
-    views: tuple[frozenset[Edge], ...]
+    ``edge_ids[j]`` is player j's set ``E_j``: a strictly increasing
+    int64 array of indices into the host's canonical edge keys
+    ``lo * n + hi`` (ascending, the order of :meth:`Graph.edges`).
 
-    def __post_init__(self) -> None:
-        # Covering invariant on canonical edge keys: the union of the
-        # views must equal the host's edge set.  Out-of-universe edges
-        # are spurious by definition.
-        n = self.graph.n
-        keys = [np.empty(0, dtype=np.int64)]
+    ``EdgePartition(graph, views)`` builds from explicit edge sets in
+    any orientation (the lower-bound constructions and the tests);
+    the partitioners build with :meth:`from_edge_ids`.  Both check the
+    covering invariant before returning and raise ``ValueError`` with
+    the missing and spurious edge counts when the views do not cover
+    the graph exactly (out-of-universe edges count as spurious).
+
+    The graph is the read-only ground truth: ids index its edge list,
+    so mutating it after partitioning invalidates the partition.
+    Pickles carry only the graph and the id arrays; the player view
+    graphs and :attr:`views` are rebuilt on demand.
+    """
+
+    __hash__ = None  # mutable numpy arrays inside; compare with ==
+
+    def __init__(self, graph: Graph,
+                 views: Iterable[Collection[Edge]]) -> None:
+        n = graph.n
+        keys = _host_keys(graph)
+        edge_ids: list[np.ndarray] = []
+        strays = [_NO_IDS]
         outside = [np.empty((0, 2), dtype=np.int64)]
-        for view in self.views:
+        for view in views:
             inside_keys, outside_pairs = _view_keys(view, n)
-            keys.append(inside_keys)
+            inside_keys = np.unique(inside_keys)
+            pos = np.searchsorted(keys, inside_keys)
+            hit = pos < keys.size
+            hit[hit] = keys[pos[hit]] == inside_keys[hit]
+            edge_ids.append(pos[hit])
+            strays.append(inside_keys[~hit])
             outside.append(outside_pairs)
-        union = np.unique(np.concatenate(keys))
-        truth = np.fromiter(
-            chain.from_iterable(self.graph.edges()), dtype=np.int64,
-            count=2 * self.graph.num_edges,
-        ).reshape(-1, 2)
-        truth = truth[:, 0] * n + truth[:, 1]
-        covered = int(np.count_nonzero(
-            np.isin(truth, union, assume_unique=True)
-        ))
-        missing = truth.size - covered
-        spurious = union.size - covered + len(
+        spurious = np.unique(np.concatenate(strays)).size + len(
             np.unique(np.concatenate(outside), axis=0)
         )
+        self._set_ids(graph, edge_ids, spurious)
+        self._keys = keys
+
+    @classmethod
+    def from_edge_ids(cls, graph: Graph,
+                      edge_ids: Sequence[np.ndarray]) -> "EdgePartition":
+        """A partition from per-player edge-id arrays (see class doc)."""
+        partition = cls.__new__(cls)
+        partition._set_ids(graph, edge_ids, 0)
+        return partition
+
+    def _set_ids(self, graph: Graph, edge_ids: Sequence[np.ndarray],
+                 spurious: int) -> None:
+        """Store the ids after the range and covering checks pass."""
+        m = graph.num_edges
+        ids = tuple(
+            np.asarray(player_ids, dtype=np.int64) for player_ids in edge_ids
+        )
+        for player, player_ids in enumerate(ids):
+            if player_ids.ndim != 1 or (player_ids.size and (
+                    player_ids[0] < 0 or player_ids[-1] >= m
+                    or not bool((player_ids[1:] > player_ids[:-1]).all()))):
+                raise ValueError(
+                    f"player {player}'s edge ids are not strictly "
+                    f"increasing within [0, {m})"
+                )
+        held = np.bincount(np.concatenate((_NO_IDS, *ids)), minlength=m)
+        missing = m - int(np.count_nonzero(held))
         if missing or spurious:
             raise ValueError(
                 "partition does not cover the graph exactly: "
                 f"{missing} missing, {spurious} spurious edges"
             )
+        self.graph = graph
+        self.edge_ids = ids
+
+    # -- pickling and equality -----------------------------------------
+    def __getstate__(self) -> dict:
+        return {"graph": self.graph, "edge_ids": self.edge_ids}
+
+    def __setstate__(self, state: dict) -> None:
+        if "edge_ids" not in state:
+            raise ValueError(
+                "pickled EdgePartition predates per-player edge ids; "
+                "rebuild the partition"
+            )
+        self.graph = state["graph"]
+        self.edge_ids = state["edge_ids"]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EdgePartition):
+            return NotImplemented
+        return (
+            self.graph == other.graph
+            and len(self.edge_ids) == len(other.edge_ids)
+            and all(
+                np.array_equal(mine, theirs)
+                for mine, theirs in zip(self.edge_ids, other.edge_ids)
+            )
+        )
+
+    def __repr__(self) -> str:
+        sizes = [int(player_ids.size) for player_ids in self.edge_ids]
+        return f"EdgePartition({self.graph!r}, view_sizes={sizes})"
+
+    # -- views ---------------------------------------------------------
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        return _host_keys(self.graph)
+
+    @cached_property
+    def _view_graphs(self) -> dict[int, Graph]:
+        return {}
 
     @property
     def k(self) -> int:
-        return len(self.views)
+        return len(self.edge_ids)
 
     def adjacency_rows(self, player: int) -> Graph:
         """Player ``player``'s view ``E_j`` as a :class:`Graph`, memoised.
 
-        The view lives on the host's backend, so a player harvests
-        through the same mask kernel as the ground truth, and
-        :func:`~repro.comm.players.make_players` wraps it without
-        copying.  Built once per player and memoised on the partition,
-        so repeated protocol trials never re-shred the edge views.
+        Built from the host keys the player's ids select, on the host's
+        backend, so a player harvests through the same mask kernel as
+        the ground truth, and :func:`~repro.comm.players.make_players`
+        wraps it without copying.  Built once per player and memoised
+        on the partition, so repeated protocol trials never rebuild it.
         Treat the returned graph as READ-ONLY: every Player built from
-        this partition shares it.  The name predates the ``Graph``
-        view and is kept because benchmark traces time this method as
-        the player build.
+        this partition shares it.  The name predates the ``Graph`` view
+        and is kept because benchmark traces time this method as the
+        player build.
         """
-        cache: dict[int, Graph] | None = getattr(self, "_views_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_views_cache", cache)
+        cache = self._view_graphs
         view = cache.get(player)
         if view is None:
             n = self.graph.n
-            keys, _ = _view_keys(self.views[player], n)
+            keys = self._keys[self.edge_ids[player]]
             view = Graph.from_edge_arrays(
                 n, keys // n, keys % n, backend=self.graph.backend
             )
             cache[player] = view
         return view
 
+    @cached_property
+    def views(self) -> tuple[frozenset[Edge], ...]:
+        """Each player's ``E_j`` as a frozenset of canonical edge tuples.
+
+        Built on first access and cached; the protocols never read it
+        (they take :meth:`adjacency_rows`), only the lower-bound code,
+        the set-based reference players and the tests.
+        """
+        n = self.graph.n
+        views = []
+        for player_ids in self.edge_ids:
+            keys = self._keys[player_ids]
+            views.append(
+                frozenset(zip((keys // n).tolist(), (keys % n).tolist()))
+            )
+        return tuple(views)
+
     @property
     def has_duplication(self) -> bool:
-        total = sum(len(view) for view in self.views)
+        total = sum(player_ids.size for player_ids in self.edge_ids)
         return total > self.graph.num_edges
 
     def view(self, player: int) -> frozenset[Edge]:
@@ -151,19 +260,66 @@ class EdgePartition:
         return sum(1 for view in self.views if edge in view)
 
 
+def _randrange_array(seed: int, bound: int, count: int) -> np.ndarray:
+    """``[random.Random(seed).randrange(bound) ...]`` for ``count`` draws.
+
+    CPython's ``randrange(bound)`` takes ``getrandbits(b)`` with
+    ``b = bound.bit_length()`` and redraws while the value is at least
+    ``bound``; for ``b <= 32`` each draw is one MT19937 word shifted
+    right by ``32 - b``.  The words come from a numpy stream continuing
+    the seeded generator's state
+    (:func:`repro.comm.randomness._numpy_stream`), so the result equals
+    the scalar loop's draws one for one.
+    """
+    # Imported at call time, so the graphs package never imports the
+    # comm package at module load.
+    from repro.comm.randomness import _numpy_stream
+
+    width = bound.bit_length()
+    if not 0 < width <= 32:
+        raise ValueError(f"randrange bound must be in [1, 2**32), got {bound}")
+    stream = _numpy_stream(random.Random(seed))
+    shift = 32 - width
+    chunks = [_NO_IDS]
+    needed = count
+    while needed > 0:
+        # A word is accepted with probability bound / 2**width > 1/2;
+        # 5% slack makes a second chunk rare.
+        words = stream.randint(
+            0, 1 << 32, size=needed * (1 << width) * 21 // (20 * bound) + 64,
+            dtype=np.uint32,
+        )
+        draws = words >> shift
+        accepted = draws[draws < bound][:needed]
+        chunks.append(accepted)
+        needed -= accepted.size
+    return np.concatenate(chunks)
+
+
+def _ids_by_owner(owner: np.ndarray, k: int) -> list[np.ndarray]:
+    """Split edge ids ``0 .. m-1`` by ``owner[id]`` into k sorted arrays."""
+    order = np.argsort(owner, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(owner, minlength=k))[:-1])
+
+
+def _id_arrays(buckets: list[list[int]]) -> list[np.ndarray]:
+    return [np.array(bucket, dtype=np.int64) for bucket in buckets]
+
+
 def _require_players(k: int) -> None:
     if k < 1:
         raise ValueError(f"need at least one player, got k={k}")
 
 
 def partition_disjoint(graph: Graph, k: int, seed: int = 0) -> EdgePartition:
-    """Each edge assigned to exactly one uniformly random player."""
+    """Each edge assigned to exactly one uniformly random player.
+
+    Edge ``i`` (ascending canonical order) goes to the ``i``-th
+    ``random.Random(seed).randrange(k)`` draw, drawn in one numpy pass.
+    """
     _require_players(k)
-    rng = random.Random(seed)
-    buckets: list[set[Edge]] = [set() for _ in range(k)]
-    for edge in graph.edges():
-        buckets[rng.randrange(k)].add(edge)
-    return EdgePartition(graph, tuple(frozenset(b) for b in buckets))
+    owner = _randrange_array(seed, k, graph.num_edges)
+    return EdgePartition.from_edge_ids(graph, _ids_by_owner(owner, k))
 
 
 def partition_with_duplication(graph: Graph, k: int, seed: int = 0,
@@ -181,21 +337,21 @@ def partition_with_duplication(graph: Graph, k: int, seed: int = 0,
             f"got {duplication_probability}"
         )
     rng = random.Random(seed)
-    buckets: list[set[Edge]] = [set() for _ in range(k)]
-    for edge in graph.edges():
+    buckets: list[list[int]] = [[] for _ in range(k)]
+    for index in range(graph.num_edges):
         owner = rng.randrange(k)
-        buckets[owner].add(edge)
+        buckets[owner].append(index)
         for other in range(k):
             if other != owner and rng.random() < duplication_probability:
-                buckets[other].add(edge)
-    return EdgePartition(graph, tuple(frozenset(b) for b in buckets))
+                buckets[other].append(index)
+    return EdgePartition.from_edge_ids(graph, _id_arrays(buckets))
 
 
 def partition_all_to_all(graph: Graph, k: int) -> EdgePartition:
     """Maximal duplication: every player sees every edge."""
     _require_players(k)
-    full = frozenset(graph.edges())
-    return EdgePartition(graph, tuple(full for _ in range(k)))
+    every = np.arange(graph.num_edges, dtype=np.int64)
+    return EdgePartition.from_edge_ids(graph, [every] * k)
 
 
 def partition_adversarial_skew(graph: Graph, k: int, seed: int = 0,
@@ -211,13 +367,13 @@ def partition_adversarial_skew(graph: Graph, k: int, seed: int = 0,
             f"heavy fraction must be in (0,1], got {heavy_fraction}"
         )
     rng = random.Random(seed)
-    buckets: list[set[Edge]] = [set() for _ in range(k)]
-    for edge in graph.edges():
+    buckets: list[list[int]] = [[] for _ in range(k)]
+    for index in range(graph.num_edges):
         if k == 1 or rng.random() < heavy_fraction:
-            buckets[0].add(edge)
+            buckets[0].append(index)
         else:
-            buckets[1 + rng.randrange(k - 1)].add(edge)
-    return EdgePartition(graph, tuple(frozenset(b) for b in buckets))
+            buckets[1 + rng.randrange(k - 1)].append(index)
+    return EdgePartition.from_edge_ids(graph, _id_arrays(buckets))
 
 
 def partition_concentrate_edges(graph: Graph, k: int,
@@ -244,25 +400,24 @@ def partition_concentrate_edges(graph: Graph, k: int,
             raise ValueError(f"focus edge {edge} is not in the graph")
         focus.add(edge)
     rng = random.Random(seed)
-    buckets: list[set[Edge]] = [set() for _ in range(k)]
-    for edge in graph.edges():
+    buckets: list[list[int]] = [[] for _ in range(k)]
+    for index, edge in enumerate(graph.edges()):
         if k == 1 or edge in focus:
-            buckets[0].add(edge)
+            buckets[0].append(index)
         else:
-            buckets[1 + rng.randrange(k - 1)].add(edge)
-    return EdgePartition(graph, tuple(frozenset(b) for b in buckets))
+            buckets[1 + rng.randrange(k - 1)].append(index)
+    return EdgePartition.from_edge_ids(graph, _id_arrays(buckets))
 
 
 def partition_by_vertex(graph: Graph, k: int, seed: int = 0) -> EdgePartition:
     """Assign vertices to players; each edge to its lower endpoint's player.
 
     A CONGEST-flavoured locality pattern.  The paper's model explicitly does
-    *not* promise this; it is provided as a contrast workload.
+    *not* promise this; it is provided as a contrast workload.  Vertex
+    ``v``'s owner is the ``v``-th ``random.Random(seed).randrange(k)``
+    draw, drawn in one numpy pass.
     """
     _require_players(k)
-    rng = random.Random(seed)
-    owner = [rng.randrange(k) for _ in range(graph.n)]
-    buckets: list[set[Edge]] = [set() for _ in range(k)]
-    for u, v in graph.edges():
-        buckets[owner[u]].add((u, v))
-    return EdgePartition(graph, tuple(frozenset(b) for b in buckets))
+    owner = _randrange_array(seed, k, graph.n)
+    lo, _ = graph.edge_arrays()
+    return EdgePartition.from_edge_ids(graph, _ids_by_owner(owner[lo], k))
