@@ -82,10 +82,6 @@ _VECTOR_MIN_EXPECTED = 1024
 #: peak draw-buffer memory without changing any sampled value.
 _DRAW_CHUNK = 1 << 20
 
-#: Planted-copy count at which the triangle planting loop switches to
-#: one bulk ``add_edge_arrays`` call.
-_BULK_PLANT_MIN = 512
-
 
 _LOGGER = logging.getLogger(__name__)
 
@@ -244,30 +240,19 @@ def planted_disjoint_triangles(n: int, num_triangles: int, seed: int = 0,
         if background_degree > 0
         else Graph(n, backend=backend)
     )
-    planted: list[tuple[int, int, int]] = []
-    if num_triangles >= _BULK_PLANT_MIN:
-        # Large plants commit through one bulk edge-array insert; the
-        # per-triangle sort matches the scalar loop, so the planted
-        # tuples and the final edge set are identical either way.
-        members = _np.sort(
-            _np.array(
-                vertices[: 3 * num_triangles], dtype=_np.int64
-            ).reshape(-1, 3),
-            axis=1,
-        )
-        graph.add_edge_arrays(
-            members[:, (0, 0, 1)].ravel(), members[:, (1, 2, 2)].ravel()
-        )
-        planted = [tuple(row) for row in members.tolist()]
-    else:
-        for t in range(num_triangles):
-            a, b, c = sorted(vertices[3 * t: 3 * t + 3])
-            graph.add_edge(a, b)
-            graph.add_edge(a, c)
-            graph.add_edge(b, c)
-            planted.append((a, b, c))
+    # Triangle t is the sorted t-th shuffled vertex triple, committed
+    # with the others in one bulk edge-array insert.
+    members = _np.sort(
+        _np.array(vertices[: 3 * num_triangles], dtype=_np.int64)
+        .reshape(-1, 3),
+        axis=1,
+    )
+    graph.add_edge_arrays(
+        members[:, (0, 0, 1)].ravel(), members[:, (1, 2, 2)].ravel()
+    )
+    planted = tuple(tuple(row) for row in members.tolist())
     epsilon = num_triangles / max(1, graph.num_edges)
-    return PlantedInstance(graph, tuple(planted), epsilon)
+    return PlantedInstance(graph, planted, epsilon)
 
 
 def far_instance(n: int, d: float, epsilon: float, seed: int = 0,
@@ -639,9 +624,10 @@ def triangle_free_degree_spread(n: int, d: float, max_degree: int,
     if total_left > half:
         shrink = half / total_left
         counts = [max(1, int(count * shrink)) for count in counts]
-    graph = Graph(n, backend=backend)
     left_cursor = 0
     right = list(range(half, n))
+    lefts: list[int] = []
+    partners: list[int] = []
     # Heavy buckets first, so the high-degree vertices always exist even
     # when the left side runs out of slots.
     for bucket_degree, count in sorted(
@@ -650,11 +636,17 @@ def triangle_free_degree_spread(n: int, d: float, max_degree: int,
         for _ in range(count):
             if left_cursor >= half:
                 break
-            v = left_cursor
+            sample = rng.sample(right, min(bucket_degree, len(right)))
+            lefts.extend([left_cursor] * len(sample))
+            partners.extend(sample)
             left_cursor += 1
-            partners = rng.sample(right, min(bucket_degree, len(right)))
-            for u in partners:
-                graph.add_edge(v, u)
+    # ``Graph(n)`` resolves the backend without a density hint (unlike
+    # ``from_edge_arrays``, which would hint the edge count); the edges
+    # then go in through one bulk insert.
+    graph = Graph(n, backend=backend)
+    graph.add_edge_arrays(
+        _np.array(lefts, dtype=_np.int64), _np.array(partners, dtype=_np.int64)
+    )
     return graph
 
 

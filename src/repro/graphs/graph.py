@@ -223,7 +223,11 @@ class Graph:
         deduplicated, validated once, and handed to the kernel's
         ``from_edge_array`` — O(m log m) array work instead of m
         Python-level inserts.  The resulting graph equals
-        ``Graph(n, zip(us, vs), backend=...)`` on every backend.
+        ``Graph(n, zip(us, vs), backend=...)`` on every backend.  A
+        bigint graph keeps the canonical keys it was built from, which
+        :meth:`edge_keys` and :meth:`edge_arrays` then serve without
+        reading the rows back, until a row write outside
+        :meth:`add_edge_arrays` drops them.
 
         ``expected_edges`` overrides the ``auto`` density hint (the
         deduplicated count is used when omitted), letting callers keep
@@ -247,10 +251,12 @@ class Graph:
     def add_edge_arrays(self, us, vs) -> int:
         """Bulk insert from numpy endpoint arrays; returns #new edges.
 
-        The array twin of :meth:`add_edges`, used by the planting paths
-        when the edge count is large enough that per-edge Python calls
-        dominate.  Kernels exposing ``merge_edge_array`` take it in one
-        sorted merge; others fall back to per-edge inserts.
+        The array twin of :meth:`add_edges`, the path the planters and
+        :func:`~repro.graphs.generators.triangle_free_degree_spread`
+        commit their edges through.  Kernels exposing
+        ``merge_edge_array`` (bigint, csr) take it in one sorted merge,
+        and bigint keeps its edge keys across it; others fall back to
+        per-edge inserts.
         """
         lo, hi = self._canonical_edge_arrays(self._n, us, vs)
         if lo.size == 0:
@@ -351,8 +357,13 @@ class Graph:
     def edge_arrays(self):
         """:meth:`edges` as two int64 arrays ``(lo, hi)``, ascending.
 
-        Kernels with a native ``edge_arrays`` (csr) slice their stored
-        arrays; the others are read through :meth:`edges`.
+        Where they come from depends on the kernel.  csr slices its
+        stored arrays.  bigint divides the canonical keys it was built
+        from (:meth:`edge_keys`); a row write outside the array builds
+        (:meth:`add_edge`, :meth:`remove_edge`, :meth:`add_neighbors`,
+        :meth:`subgraph`, :meth:`union`, :meth:`to_backend`,
+        :meth:`complete`) drops those keys, and the edges are then read
+        from the rows.  packed always reads :meth:`edges`.
         """
         native = getattr(self._kernel, "edge_arrays", None)
         if native is not None:
@@ -364,6 +375,19 @@ class Graph:
             count=2 * self._edge_count,
         ).reshape(-1, 2)
         return pairs[:, 0], pairs[:, 1]
+
+    def edge_keys(self):
+        """The canonical edge keys ``lo * n + hi``, ascending, int64.
+
+        The order of :meth:`edges`.  On bigint this is the kernel's
+        stored key array when it has one (see :meth:`edge_arrays`),
+        shared rather than copied: treat it as READ-ONLY.
+        """
+        native = getattr(self._kernel, "edge_keys", None)
+        if native is not None:
+            return native()
+        lo, hi = self.edge_arrays()
+        return lo * self._n + hi
 
     def edge_set(self) -> set[Edge]:
         """Compatibility wrapper: the edges as a plain set.

@@ -38,7 +38,9 @@ import numpy as np
 
 from repro.graphs.kernels.base import Edge, register_kernel
 
-__all__ = ["PackedKernel", "pack_mask", "unpack_words"]
+__all__ = [
+    "PackedKernel", "pack_mask", "scatter_bits", "unpack_words", "word_rows",
+]
 
 # Feature flag split out so tests can force the LUT path.
 _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
@@ -91,6 +93,31 @@ def unpack_words(words: np.ndarray) -> int:
         .astype(_LE_U64, copy=False)
         .tobytes(),
         "little",
+    )
+
+
+def word_rows(words: np.ndarray) -> list[int]:
+    """Each row of a 2-D uint64 word matrix as its Python-int mask."""
+    stride = words.shape[1] * 8
+    raw = (
+        np.ascontiguousarray(words)
+        .astype(_LE_U64, copy=False)
+        .tobytes()
+    )
+    return [
+        int.from_bytes(raw[u * stride:(u + 1) * stride], "little")
+        for u in range(words.shape[0])
+    ]
+
+
+def scatter_bits(words: np.ndarray, rows: np.ndarray,
+                 cols: np.ndarray) -> None:
+    """Set bit ``cols[i]`` of row ``rows[i]`` of a C-contiguous word
+    matrix in place, with one ``bitwise_or.at``."""
+    np.bitwise_or.at(
+        words.reshape(-1),
+        rows * words.shape[1] + (cols >> 6),
+        np.uint64(1) << (cols & 63).astype(np.uint64),
     )
 
 
@@ -162,16 +189,7 @@ class PackedKernel:
         return unpack_words(self._a[u])
 
     def rows(self) -> list[int]:
-        stride = self._words * 8
-        raw = (
-            np.ascontiguousarray(self._a)
-            .astype(_LE_U64, copy=False)
-            .tobytes()
-        )
-        return [
-            int.from_bytes(raw[u * stride:(u + 1) * stride], "little")
-            for u in range(self._n)
-        ]
+        return word_rows(self._a)
 
     def row_and(self, u: int, v: int) -> int:
         return unpack_words(self._a[u] & self._a[v])
@@ -254,13 +272,8 @@ class PackedKernel:
         directions into the word matrix with one ``bitwise_or.at``."""
         kernel = cls(n)
         if us.size:
-            src = np.concatenate([us, vs])
-            dst = np.concatenate([vs, us])
-            flat = kernel._a.reshape(-1)
-            np.bitwise_or.at(
-                flat,
-                src * kernel._words + (dst >> 6),
-                np.uint64(1) << (dst & 63).astype(np.uint64),
+            scatter_bits(
+                kernel._a, np.concatenate([us, vs]), np.concatenate([vs, us])
             )
         return kernel
 

@@ -23,8 +23,11 @@ several regimes the paper analyzes:
 Each returns an :class:`EdgePartition`: the host graph plus one sorted
 int64 array of *edge ids* per player, where an id indexes the host's
 canonical edge keys ``lo * n + hi`` in ascending order (the order of
-:meth:`~repro.graphs.graph.Graph.edges`).  The covering invariant (union
-of views == E) is checked eagerly with one ``np.bincount`` over the ids.
+:meth:`~repro.graphs.graph.Graph.edges`, read through
+:meth:`~repro.graphs.graph.Graph.edge_keys`, which on a bigint host
+built from edge arrays is the kernel's stored array).  The covering
+invariant (union of views == E) is checked eagerly with one
+``np.bincount`` over the ids.
 ``partition_disjoint`` and ``partition_by_vertex`` draw every owner in
 one numpy pass that replays ``random.Random(seed).randrange(k)`` draw for
 draw (:func:`_randrange_array`), so the instances equal the scalar
@@ -80,12 +83,6 @@ def _view_keys(view, n: int) -> tuple[np.ndarray, np.ndarray]:
     return lo[inside] * n + hi[inside], outside
 
 
-def _host_keys(graph: Graph) -> np.ndarray:
-    """The host's canonical edge keys ``lo * n + hi``, ascending."""
-    lo, hi = graph.edge_arrays()
-    return lo * graph.n + hi
-
-
 class EdgePartition:
     """Ground truth graph + the k players' edge sets as edge-id arrays.
 
@@ -111,7 +108,7 @@ class EdgePartition:
     def __init__(self, graph: Graph,
                  views: Iterable[Collection[Edge]]) -> None:
         n = graph.n
-        keys = _host_keys(graph)
+        keys = graph.edge_keys()
         edge_ids: list[np.ndarray] = []
         strays = [_NO_IDS]
         outside = [np.empty((0, 2), dtype=np.int64)]
@@ -195,7 +192,8 @@ class EdgePartition:
     # -- views ---------------------------------------------------------
     @cached_property
     def _keys(self) -> np.ndarray:
-        return _host_keys(self.graph)
+        # A bigint host's stored keys are shared, not copied.
+        return self.graph.edge_keys()
 
     @cached_property
     def _view_graphs(self) -> dict[int, Graph]:

@@ -13,6 +13,7 @@ scalar twins.
 
 from __future__ import annotations
 
+import plant_oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -153,16 +154,12 @@ class TestPowerlawHostIdentity:
 
 
 class TestBulkPlantingIdentity:
-    def test_bulk_and_scalar_plants_agree(self, monkeypatch):
-        def build():
-            return planted_disjoint_triangles(
-                400, 120, seed=13, background_degree=2.0
-            )
+    def test_bulk_and_scalar_plants_agree(self):
+        def build(planter):
+            return planter(400, 120, seed=13, background_degree=2.0)
 
-        monkeypatch.setattr(gen, "_BULK_PLANT_MIN", 10**9)
-        scalar = build()
-        monkeypatch.setattr(gen, "_BULK_PLANT_MIN", 1)
-        bulk = build()
+        scalar = build(plant_oracle.planted_disjoint_triangles)
+        bulk = build(planted_disjoint_triangles)
         assert scalar.planted_triangles == bulk.planted_triangles
         assert scalar.epsilon_certified == bulk.epsilon_certified
         assert_identical(scalar.graph, bulk.graph)
@@ -176,9 +173,10 @@ class TestBulkPlantingIdentity:
                 200, FOUR_CLIQUE, 30, seed=5, background_degree=1.5
             )
 
-        monkeypatch.setattr(plant_module, "_BULK_PLANT_EDGES", 10**9)
+        monkeypatch.setattr(plant_module, "_plant_images",
+                            plant_oracle.plant_images)
         scalar = build()
-        monkeypatch.setattr(plant_module, "_BULK_PLANT_EDGES", 1)
+        monkeypatch.undo()
         bulk = build()
         assert scalar.planted_copies == bulk.planted_copies
         assert_identical(scalar.graph, bulk.graph)
