@@ -19,8 +19,9 @@ The methods mirror the local steps of Sections 3.1, 3.3 and 3.4:
 A player's input is a :class:`~repro.graphs.graph.Graph` on the public
 vertex universe, stored on the host graph's mask kernel: ``has_edge`` and
 ``local_degree`` are kernel probes, and the harvest methods — the
-protocol hot path — intersect kernel rows in the Python-int mask exchange
-format, word-at-a-time in C instead of per-edge Python set work.  The
+protocol hot path — are one kernel call, ``edges_touching``: bigint and
+packed intersect Python-int rows word-at-a-time in C, csr gathers the
+sampled vertices' neighbour slices from its index arrays.  The
 harvests return edges in ascending canonical order, which is exactly the
 ``sorted(...)`` order protocol messages are priced and capped in, so
 messages (and cap truncations) equal the set-based oracle
@@ -207,9 +208,9 @@ class Player:
     # ------------------------------------------------------------------
     # Edge harvesting against public vertex samples
     #
-    # The mask forms are the hot path: one row intersection per sampled
-    # vertex, emitted in ascending canonical order (== the ``sorted``
-    # order protocol messages are priced and capped in).
+    # The mask forms are the hot path, answered by the view's kernel
+    # (``edges_touching``) in ascending canonical order (== the
+    # ``sorted`` order protocol messages are priced and capped in).
     # ------------------------------------------------------------------
     def edges_at_vertex_in_mask(self, v: int, sample_mask: int) -> list[Edge]:
         """E_j ∩ ({v} × S) as a sorted list, S given as a mask."""
@@ -220,54 +221,18 @@ class Player:
 
     def edges_within_mask(self, sample_mask: int) -> list[Edge]:
         """E_j ∩ S² as a sorted list: Algorithms 7 and 9's harvest."""
-        row = self._kernel.row
-        found: list[Edge] = []
-        remaining = sample_mask
-        while remaining:
-            low = remaining & -remaining
-            remaining ^= low
-            u = low.bit_length() - 1
-            partners = (row(u) & sample_mask) >> (u + 1)
-            while partners:
-                plow = partners & -partners
-                found.append((u, u + plow.bit_length()))
-                partners ^= plow
-        return found
+        return self._kernel.edges_touching(sample_mask, sample_mask)
 
     def edges_touching_both_mask(self, r_mask: int, rs_mask: int
                                  ) -> list[Edge]:
         """Edges with one endpoint in R, the other in R ∪ S, sorted.
 
-        A qualifying edge (a ∈ R and b ∈ RS, or b ∈ R and a ∈ RS — the
-        two arguments need not be nested) always has its R-endpoint, so
-        enumerating base vertices over R alone suffices: one
-        ``row & rs_mask`` per R-vertex, which is the whole point — R is
-        the small birthday sample while R ∪ S may be nearly everything.
-        A pair with both endpoints in R ∩ RS is found from each side;
-        the lower endpoint owns it.
+        The two arguments need not be nested.  The kernel enumerates
+        base vertices over R alone — R is the small birthday sample
+        while R ∪ S may be nearly everything — and reports a pair with
+        both endpoints in R ∩ RS once, from its lower endpoint.
         """
-        row = self._kernel.row
-        found: list[Edge] = []
-        both = r_mask & rs_mask
-        remaining = r_mask
-        while remaining:
-            low = remaining & -remaining
-            remaining ^= low
-            u = low.bit_length() - 1
-            partners = row(u) & rs_mask
-            if not partners:
-                continue
-            if both >> u & 1:
-                # u could double-report pairs owned by a lower R∩RS
-                # partner; mask those out.
-                partners &= ~(both & ((1 << u) - 1))
-            while partners:
-                plow = partners & -partners
-                v = plow.bit_length() - 1
-                found.append((u, v) if u < v else (v, u))
-                partners ^= plow
-        found.sort()
-        return found
+        return self._kernel.edges_touching(r_mask, rs_mask)
 
     def any_incident_neighbor_in(self, v: int, pred: Callable) -> bool:
         """Does any local neighbour of v satisfy the public predicate?

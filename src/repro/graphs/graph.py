@@ -48,6 +48,7 @@ from repro.graphs.kernels.base import (
     get_kernel,
     iter_bits,
     mask_of,
+    sorted_unique,
 )
 
 __all__ = ["Graph", "bit_positions", "canonical_edge", "iter_bits", "mask_of"]
@@ -209,7 +210,7 @@ class Graph:
         # Keys that already ascend strictly (a partition's view keys, an
         # ascending generator pass) skip the O(m log m) sort.
         if not bool((keys[1:] > keys[:-1]).all()):
-            keys = np.unique(keys)
+            keys = sorted_unique(keys)
         return keys // n, keys % n
 
     @classmethod
@@ -254,9 +255,9 @@ class Graph:
         The array twin of :meth:`add_edges`, the path the planters and
         :func:`~repro.graphs.generators.triangle_free_degree_spread`
         commit their edges through.  Kernels exposing
-        ``merge_edge_array`` (bigint, csr) take it in one sorted merge,
-        and bigint keeps its edge keys across it; others fall back to
-        per-edge inserts.
+        ``merge_edge_array`` take it in bulk (bigint and csr by one
+        sorted merge, packed by one word scatter), and bigint keeps its
+        edge keys across it; others fall back to per-edge inserts.
         """
         lo, hi = self._canonical_edge_arrays(self._n, us, vs)
         if lo.size == 0:
@@ -447,31 +448,24 @@ find_triangle_in_rows` or the patterns matcher — no edge tuples are
     def induced_subgraph_edges(self, vertices: Iterable[int]) -> set[Edge]:
         """Compatibility wrapper over :meth:`induced_subgraph_mask_rows`.
 
-        Returns the induced edges as a set of canonical tuples; new
-        callers should take the mask-rows form and stay on the kernel.
+        Returns the induced edges as a set of canonical tuples (the
+        kernel's ``edges_touching(S, S)``); new callers should take the
+        mask-rows form and stay on the kernel.
         """
         vertex_mask = self._checked_mask(vertices)
-        found: set[Edge] = set()
-        for u in iter_bits(vertex_mask):
-            inner = (self._kernel.row(u) & vertex_mask) >> (u + 1)
-            while inner:
-                low = inner & -inner
-                found.add((u, u + low.bit_length()))
-                inner ^= low
-        return found
+        return set(self._kernel.edges_touching(vertex_mask, vertex_mask))
 
     def edges_touching(self, vertices: Iterable[int]) -> set[Edge]:
         """Compatibility wrapper over :meth:`edges_touching_mask`.
 
-        Returns the touching edges as a set of canonical tuples; new
-        callers should take the mask-rows form and stay on the kernel.
+        Returns the touching edges as a set of canonical tuples (the
+        kernel's ``edges_touching(S, V)``); new callers should take the
+        mask-rows form and stay on the kernel.
         """
         vertex_mask = self._checked_mask(vertices)
-        found: set[Edge] = set()
-        for u in iter_bits(vertex_mask):
-            for v in iter_bits(self._kernel.row(u)):
-                found.add((u, v) if u < v else (v, u))
-        return found
+        return set(
+            self._kernel.edges_touching(vertex_mask, (1 << self._n) - 1)
+        )
 
     def subgraph(self, vertices: Iterable[int]) -> "Graph":
         """Induced subgraph, preserving vertex ids (others become isolated)."""

@@ -55,6 +55,8 @@ __all__ = [
     "iter_bits",
     "bit_positions",
     "mask_of",
+    "sorted_unique",
+    "edges_touching_rows",
     "get_kernel",
     "register_kernel",
     "kernel_names",
@@ -123,6 +125,75 @@ def mask_of(vertices: Iterable[int]) -> int:
     for v in vertices:
         mask |= 1 << v
     return mask
+
+
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array, ascending: ``np.unique(keys)``.
+
+    One ``np.sort`` and a ``keys[1:] != keys[:-1]`` mask.  Every dedupe
+    or union of edge keys in :mod:`repro.graphs` goes through here,
+    because numpy 2.3 and later answer a plain ``np.unique`` (and so
+    ``np.union1d``) on integer keys by building a hash set and then
+    sorting it.  On int64 edge keys that path is 15-60x slower than a
+    sort: measured with numpy 2.4.6 on a 2-core x86-64 host, 1.74 ms
+    against 0.09 ms at 10k keys and 858 ms against 14 ms at 1M keys.
+    """
+    ordered = np.sort(keys)
+    if ordered.size < 2:
+        return ordered
+    keep = np.empty(ordered.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
+def edges_touching_rows(row, r_mask: int, rs_mask: int) -> list[Edge]:
+    """Edges with one endpoint in R, the other in R ∪ S, sorted.
+
+    The row-loop form of :meth:`MaskKernel.edges_touching` over any
+    row reader ``row(u) -> int``.  A qualifying edge (a ∈ R and b ∈ RS,
+    or b ∈ R and a ∈ RS — the two arguments need not be nested) always
+    has its R-endpoint, so enumerating base vertices over R alone
+    suffices: one ``row & rs_mask`` per R-vertex, which is the whole
+    point — R is the small birthday sample while R ∪ S may be nearly
+    everything.  A pair with both endpoints in R ∩ RS is found from
+    each side; the lower endpoint owns it.  With R = RS (an induced
+    subgraph) each base vertex keeps only its partners above it, which
+    emits the edges already sorted.
+    """
+    found: list[Edge] = []
+    if r_mask == rs_mask:
+        remaining = r_mask
+        while remaining:
+            low = remaining & -remaining
+            remaining ^= low
+            u = low.bit_length() - 1
+            partners = (row(u) & rs_mask) >> (u + 1)
+            while partners:
+                plow = partners & -partners
+                found.append((u, u + plow.bit_length()))
+                partners ^= plow
+        return found
+    both = r_mask & rs_mask
+    remaining = r_mask
+    while remaining:
+        low = remaining & -remaining
+        remaining ^= low
+        u = low.bit_length() - 1
+        partners = row(u) & rs_mask
+        if not partners:
+            continue
+        if both >> u & 1:
+            # u could double-report pairs owned by a lower R∩RS
+            # partner; mask those out.
+            partners &= ~(both & ((1 << u) - 1))
+        while partners:
+            plow = partners & -partners
+            v = plow.bit_length() - 1
+            found.append((u, v) if u < v else (v, u))
+            partners ^= plow
+    found.sort()
+    return found
 
 
 @runtime_checkable
@@ -211,6 +282,16 @@ class MaskKernel(Protocol):
 
     def iter_edges(self) -> Iterator[Edge]:
         """All edges in canonical orientation, ascending (u, then v)."""
+        ...
+
+    def edges_touching(self, r_mask: int, rs_mask: int) -> list[Edge]:
+        """Edges with one endpoint in ``r_mask`` and the other in
+        ``rs_mask``, as sorted canonical tuples (each edge once).
+
+        The player harvest: ``edges_touching(S, S)`` is the edge set
+        induced by S.  bigint and packed run
+        :func:`edges_touching_rows`; csr gathers from its arrays.
+        """
         ...
 
     # -- whole-kernel operations ---------------------------------------

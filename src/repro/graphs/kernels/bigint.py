@@ -42,7 +42,12 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.graphs.kernels.base import Edge, iter_bits, register_kernel
+from repro.graphs.kernels.base import (
+    Edge,
+    edges_touching_rows,
+    iter_bits,
+    register_kernel,
+)
 
 __all__ = ["BigintKernel"]
 
@@ -212,6 +217,9 @@ class BigintKernel:
                 low = upper & -upper
                 yield (u, u + low.bit_length())
                 upper ^= low
+
+    def edges_touching(self, r_mask: int, rs_mask: int) -> list[Edge]:
+        return edges_touching_rows(self._rows.__getitem__, r_mask, rs_mask)
 
     def edge_keys(self) -> np.ndarray:
         """Canonical keys ``lo * n + hi`` of every edge, ascending.

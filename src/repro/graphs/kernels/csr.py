@@ -38,6 +38,22 @@ minimum-vertex base edge, in canonical lexicographic order — the same
 values and order as the generic int-row algorithms — and the natives
 return ``NotImplemented`` on dense hosts (same wedge-budget rule as the
 packed kernel) so the dispatcher falls back to the generic path.
+
+The player harvest is native too.  :meth:`CsrKernel.edges_touching`
+(edges with one endpoint in R and the other in R ∪ S, which is every
+``Player`` harvest of an edge set) gathers R's neighbour slices from
+``indptr``/``indices`` in one pass, filters them through a boolean
+R ∪ S membership array, and sorts the surviving canonical keys once.
+The bigint and packed kernels instead AND one Python-int row per
+R-vertex, which on a csr view would first turn every row into a bignum
+of up to n bits: at n = 50 000 that was ~6 KB per row and 0.22 s of
+harvest per ``sparse-sim-low`` pass, against 0.01 s gathered.
+
+Every dedupe and union of edge keys here (:meth:`CsrKernel._compact`,
+:meth:`CsrKernel.merge_edge_array`, :meth:`CsrKernel.union_with`) is a
+sort plus a neighbour mask
+(:func:`~repro.graphs.kernels.base.sorted_unique`), never ``np.unique``
+or ``np.union1d``.
 """
 
 from __future__ import annotations
@@ -47,7 +63,12 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.graphs.kernels.base import Edge, bit_positions, register_kernel
+from repro.graphs.kernels.base import (
+    Edge,
+    bit_positions,
+    register_kernel,
+    sorted_unique,
+)
 
 __all__ = ["CsrKernel"]
 
@@ -179,7 +200,9 @@ class CsrKernel:
                 keys, self._delta_keys(self._removed), assume_unique=True
             )
         if self._added:
-            keys = np.union1d(keys, self._delta_keys(self._added))
+            keys = sorted_unique(
+                np.concatenate((keys, self._delta_keys(self._added)))
+            )
         self._set_from_keys(keys)
         self._added = {}
         self._removed = {}
@@ -231,7 +254,7 @@ class CsrKernel:
         src = np.concatenate([us, vs]).astype(np.int64, copy=False)
         dst = np.concatenate([vs, us]).astype(np.int64, copy=False)
         old = self._base_keys()
-        keys = np.union1d(old, src * n + dst)
+        keys = sorted_unique(np.concatenate((old, src * n + dst)))
         added = (keys.size - old.size) // 2
         if added:
             self._set_from_keys(keys)
@@ -314,6 +337,53 @@ class CsrKernel:
         lo, hi = self.edge_arrays()
         return zip(lo.tolist(), hi.tolist())
 
+    def edges_touching(self, r_mask: int, rs_mask: int) -> list[Edge]:
+        """Edges with one endpoint in R and the other in R ∪ S, sorted.
+
+        The array form of
+        :func:`~repro.graphs.kernels.base.edges_touching_rows`: R's
+        neighbour slices are gathered from ``indptr``/``indices`` in one
+        pass and filtered by a boolean R ∪ S membership array, a pair
+        with both endpoints in R ∩ RS is kept only from its lower
+        endpoint, and the canonical keys ``lo * n + hi`` are sorted
+        once.  A pending overlay is compacted first, as for every bulk
+        operation.
+        """
+        self._compact()
+        n = self._n
+        r = bit_positions(r_mask)
+        if not r.size or not rs_mask:
+            return []
+        indptr = self._indptr
+        starts = indptr[r]
+        counts = indptr[r + 1] - starts
+        total = int(counts.sum())
+        if not total:
+            return []
+        # Position of the i-th gathered neighbour: its row's start plus
+        # its rank inside the row.
+        shift = starts - (np.cumsum(counts) - counts)
+        positions = np.arange(total, dtype=np.int64) + np.repeat(
+            shift, counts
+        )
+        src = np.repeat(r, counts)
+        dst = self._indices[positions].astype(np.int64, copy=False)
+        rs = bit_positions(rs_mask)
+        member = np.zeros(n, dtype=bool)
+        member[rs[rs < n]] = True
+        keep = member[dst]
+        src, dst = src[keep], dst[keep]
+        # A pair inside R ∩ RS is gathered from both endpoints; the
+        # lower one owns it.
+        both = np.zeros(n, dtype=bool)
+        both[r] = True
+        both &= member
+        keep = ~(both[src] & both[dst] & (dst < src))
+        src, dst = src[keep], dst[keep]
+        keys = np.minimum(src, dst) * n + np.maximum(src, dst)
+        keys.sort()
+        return list(zip((keys // n).tolist(), (keys % n).tolist()))
+
     # -- whole-kernel operations ---------------------------------------
     def copy(self) -> "CsrKernel":
         self._compact()
@@ -345,7 +415,9 @@ class CsrKernel:
         self._compact()
         other._compact()
         merged = CsrKernel(self._n)
-        keys = np.union1d(self._base_keys(), other._base_keys())
+        keys = sorted_unique(
+            np.concatenate((self._base_keys(), other._base_keys()))
+        )
         merged._set_from_keys(keys)
         return merged, int(keys.size) // 2
 

@@ -36,7 +36,11 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.graphs.kernels.base import Edge, register_kernel
+from repro.graphs.kernels.base import (
+    Edge,
+    edges_touching_rows,
+    register_kernel,
+)
 
 __all__ = [
     "PackedKernel", "pack_mask", "scatter_bits", "unpack_words", "word_rows",
@@ -181,6 +185,26 @@ class PackedKernel:
         self._a[partners, u >> 6] |= np.uint64(1 << (u & 63))
         return _popcount_total(new)
 
+    def merge_edge_array(self, us: np.ndarray, vs: np.ndarray) -> int:
+        """OR canonical edge arrays into the adjacency; returns #new.
+
+        The bulk mutator behind
+        :meth:`repro.graphs.graph.Graph.add_edge_arrays`: one gathered
+        bit test picks the edges whose bit is not yet set (the input
+        has no duplicates, so each is one new edge), and one
+        :func:`scatter_bits` sets both directions of those.
+        """
+        a = self._a
+        fresh = (
+            a[us, vs >> 6] >> (vs & 63).astype(np.uint64) & np.uint64(1)
+        ) == 0
+        us, vs = us[fresh], vs[fresh]
+        if us.size:
+            scatter_bits(
+                a, np.concatenate([us, vs]), np.concatenate([vs, us])
+            )
+        return int(us.size)
+
     # -- queries -------------------------------------------------------
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self._a[u, v >> 6] >> np.uint64(v & 63) & np.uint64(1))
@@ -212,6 +236,9 @@ class PackedKernel:
                 low = upper & -upper
                 yield (u, u + low.bit_length())
                 upper ^= low
+
+    def edges_touching(self, r_mask: int, rs_mask: int) -> list[Edge]:
+        return edges_touching_rows(self.row, r_mask, rs_mask)
 
     # -- whole-kernel operations ---------------------------------------
     def copy(self) -> "PackedKernel":

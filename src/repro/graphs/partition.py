@@ -49,6 +49,7 @@ from typing import Collection, Iterable, Sequence
 import numpy as np
 
 from repro.graphs.graph import Edge, Graph, canonical_edge
+from repro.graphs.kernels.base import sorted_unique
 
 __all__ = [
     "EdgePartition",
@@ -114,14 +115,14 @@ class EdgePartition:
         outside = [np.empty((0, 2), dtype=np.int64)]
         for view in views:
             inside_keys, outside_pairs = _view_keys(view, n)
-            inside_keys = np.unique(inside_keys)
+            inside_keys = sorted_unique(inside_keys)
             pos = np.searchsorted(keys, inside_keys)
             hit = pos < keys.size
             hit[hit] = keys[pos[hit]] == inside_keys[hit]
             edge_ids.append(pos[hit])
             strays.append(inside_keys[~hit])
             outside.append(outside_pairs)
-        spurious = np.unique(np.concatenate(strays)).size + len(
+        spurious = sorted_unique(np.concatenate(strays)).size + len(
             np.unique(np.concatenate(outside), axis=0)
         )
         self._set_ids(graph, edge_ids, spurious)

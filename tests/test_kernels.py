@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -137,6 +138,35 @@ class TestBulkPrimitiveDifferential:
             )
         assert bigint == packed
         assert bigint.num_edges == packed.num_edges
+
+    @given(OPS, st.lists(st.tuples(VERTEX, VERTEX), max_size=120))
+    @settings(max_examples=60, deadline=None)
+    def test_add_edge_arrays_agrees(self, ops, pairs):
+        # Duplicates, both orientations and edges already present: the
+        # packed bulk merge counts only the bits it newly sets.
+        bigint, packed = build_both(ops)
+        pairs = [(u, v) for u, v in pairs if u != v]
+        us = np.array([u for u, _ in pairs], dtype=np.int64)
+        vs = np.array([v for _, v in pairs], dtype=np.int64)
+        assert bigint.add_edge_arrays(us, vs) == packed.add_edge_arrays(
+            us, vs
+        )
+        assert bigint == packed
+        assert bigint.num_edges == packed.num_edges
+        assert packed.add_edge_arrays(vs, us) == 0
+
+    def test_add_edge_arrays_is_one_bulk_merge(self, monkeypatch):
+        graph = Graph(N, [(0, 1), (63, 64)], backend="packed")
+
+        def no_per_edge_inserts(self, u, v):
+            raise AssertionError("add_edge_arrays fell back to set_edge")
+
+        monkeypatch.setattr(PackedKernel, "set_edge", no_per_edge_inserts)
+        us = np.array([1, 64, 2, 5, 2], dtype=np.int64)
+        vs = np.array([0, 63, 69, 64, 69], dtype=np.int64)
+        assert graph.add_edge_arrays(us, vs) == 2
+        assert list(graph.edges()) == [(0, 1), (2, 69), (5, 64), (63, 64)]
+        assert graph.num_edges == 4
 
     @given(OPS, VERTEX_SETS)
     @settings(max_examples=60, deadline=None)
