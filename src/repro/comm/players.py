@@ -230,7 +230,7 @@ class Player:
         The two arguments need not be nested.  The kernel enumerates
         base vertices over R alone — R is the small birthday sample
         while R ∪ S may be nearly everything — and reports a pair with
-        both endpoints in R ∩ RS once, from its lower endpoint.
+        both endpoints in R ∩ RS once.
         """
         return self._kernel.edges_touching(r_mask, rs_mask)
 

@@ -239,14 +239,9 @@ class Graph:
         lo, hi = cls._canonical_edge_arrays(n, us, vs)
         if expected_edges is None:
             expected_edges = int(lo.size)
-        kernel_cls = get_kernel(backend, n, expected_edges)
-        maker = getattr(kernel_cls, "from_edge_array", None)
-        if maker is not None:
-            kernel = maker(n, lo, hi)
-        else:  # registered third-party kernel without the bulk seam
-            kernel = kernel_cls(n)
-            for u, v in zip(lo.tolist(), hi.tolist()):
-                kernel.set_edge(u, v)
+        kernel = get_kernel(backend, n, expected_edges).from_edge_array(
+            n, lo, hi
+        )
         return cls._wrap(n, kernel, int(lo.size))
 
     def add_edge_arrays(self, us, vs) -> int:
@@ -254,21 +249,14 @@ class Graph:
 
         The array twin of :meth:`add_edges`, the path the planters and
         :func:`~repro.graphs.generators.triangle_free_degree_spread`
-        commit their edges through.  Kernels exposing
-        ``merge_edge_array`` take it in bulk (bigint and csr by one
-        sorted merge, packed by one word scatter), and bigint keeps its
-        edge keys across it; others fall back to per-edge inserts.
+        commit their edges through.  The kernel's ``merge_edge_array``
+        takes it in bulk (bigint and csr by one sorted merge, packed by
+        one word scatter), and bigint keeps its edge keys across it.
         """
         lo, hi = self._canonical_edge_arrays(self._n, us, vs)
         if lo.size == 0:
             return 0
-        merge = getattr(self._kernel, "merge_edge_array", None)
-        if merge is not None:
-            added = int(merge(lo, hi))
-        else:
-            added = 0
-            for u, v in zip(lo.tolist(), hi.tolist()):
-                added += self._kernel.set_edge(u, v)
+        added = int(self._kernel.merge_edge_array(lo, hi))
         self._edge_count += added
         return added
 

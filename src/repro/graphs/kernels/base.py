@@ -239,6 +239,12 @@ class MaskKernel(Protocol):
         partner rows); returns the number of *new* edges."""
         ...
 
+    def merge_edge_array(self, us: "object", vs: "object") -> int:
+        """OR canonical edge arrays (the :meth:`from_edge_array` input
+        form) into the adjacency in bulk; returns the number of *new*
+        edges."""
+        ...
+
     # -- queries (int-mask exchange format) ----------------------------
     def has_edge(self, u: int, v: int) -> bool:
         """Is bit ``v`` of row ``u`` set?"""

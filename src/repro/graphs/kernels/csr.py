@@ -43,7 +43,8 @@ The player harvest is native too.  :meth:`CsrKernel.edges_touching`
 (edges with one endpoint in R and the other in R ∪ S, which is every
 ``Player`` harvest of an edge set) gathers R's neighbour slices from
 ``indptr``/``indices`` in one pass, filters them through a boolean
-R ∪ S membership array, and sorts the surviving canonical keys once.
+R ∪ S membership array, and sorts and deduplicates the surviving
+canonical keys once.
 The bigint and packed kernels instead AND one Python-int row per
 R-vertex, which on a csr view would first turn every row into a bignum
 of up to n bits: at n = 50 000 that was ~6 KB per row and 0.22 s of
@@ -343,11 +344,15 @@ class CsrKernel:
         The array form of
         :func:`~repro.graphs.kernels.base.edges_touching_rows`: R's
         neighbour slices are gathered from ``indptr``/``indices`` in one
-        pass and filtered by a boolean R ∪ S membership array, a pair
-        with both endpoints in R ∩ RS is kept only from its lower
-        endpoint, and the canonical keys ``lo * n + hi`` are sorted
-        once.  A pending overlay is compacted first, as for every bulk
-        operation.
+        pass, filtered by a boolean R ∪ S membership array, and their
+        canonical keys ``lo * n + hi`` sorted and deduplicated once (a
+        pair inside R ∩ RS is gathered from both endpoints).  A pending
+        overlay is compacted first, as for every bulk operation.
+
+        Gathering only R's rows beats filtering the whole edge list, as
+        :meth:`induced` does: on traced ``sparse-sim-low`` (n = 50 000,
+        seed 0, 6 alternating runs on a 2-core host) ``harvest_s`` was
+        0.008-0.014 s gathered against 0.023-0.035 s filtered.
         """
         self._compact()
         n = self._n
@@ -374,14 +379,8 @@ class CsrKernel:
         keep = member[dst]
         src, dst = src[keep], dst[keep]
         # A pair inside R ∩ RS is gathered from both endpoints; the
-        # lower one owns it.
-        both = np.zeros(n, dtype=bool)
-        both[r] = True
-        both &= member
-        keep = ~(both[src] & both[dst] & (dst < src))
-        src, dst = src[keep], dst[keep]
-        keys = np.minimum(src, dst) * n + np.maximum(src, dst)
-        keys.sort()
+        # sorted dedupe keeps it once.
+        keys = sorted_unique(np.minimum(src, dst) * n + np.maximum(src, dst))
         return list(zip((keys // n).tolist(), (keys % n).tolist()))
 
     # -- whole-kernel operations ---------------------------------------
